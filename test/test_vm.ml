@@ -569,15 +569,16 @@ let tuning_tag (t : Vm.Machine.tuning) =
     t.Vm.Machine.max_linked_blocks
 
 (* One Reference run, then every tuned Threaded variant against it. *)
-let diff_all_tunings ?fuel ?cis ?(entry = "main") ~args what m =
+let diff_all_tunings ?fuel ?cis ?max_depth ?(entry = "main") ~args what m =
   let ref_out =
-    Vm.Machine.run ?fuel ?cis ~engine:Vm.Machine.Reference m ~entry ~args
+    Vm.Machine.run ?fuel ?cis ?max_depth ~engine:Vm.Machine.Reference m ~entry
+      ~args
   in
   List.iter
     (fun tuning ->
       let t =
-        Vm.Machine.run ?fuel ?cis ~engine:Vm.Machine.Threaded ~tuning m ~entry
-          ~args
+        Vm.Machine.run ?fuel ?cis ?max_depth ~engine:Vm.Machine.Threaded
+          ~tuning m ~entry ~args
       in
       check_outcomes_equal (what ^ " [" ^ tuning_tag tuning ^ "]") ref_out t)
     all_tunings;
@@ -904,19 +905,21 @@ let test_adversarial_scalars () =
 
 (* [check_fault_parity_tunings] over arbitrary entry args, so the
    faulting input can be an adversarial float. *)
-let fault_msg_args ?fuel ~engine ?tuning ~args m =
+let fault_msg_args ?fuel ?max_depth ~engine ?tuning ~args m =
   try
-    ignore (Vm.Machine.run ?fuel ~engine ?tuning m ~entry:"main" ~args);
+    ignore
+      (Vm.Machine.run ?fuel ?max_depth ~engine ?tuning m ~entry:"main" ~args);
     None
   with Vm.Machine.Fault msg -> Some msg
 
-let check_fault_parity_tunings_args ?fuel what ~args m =
-  let r = fault_msg_args ?fuel ~engine:Vm.Machine.Reference ~args m in
+let check_fault_parity_tunings_args ?fuel ?max_depth what ~args m =
+  let r = fault_msg_args ?fuel ?max_depth ~engine:Vm.Machine.Reference ~args m in
   Alcotest.(check bool) (what ^ ": faulted") true (r <> None);
   List.iter
     (fun tuning ->
       let t =
-        fault_msg_args ?fuel ~engine:Vm.Machine.Threaded ~tuning ~args m
+        fault_msg_args ?fuel ?max_depth ~engine:Vm.Machine.Threaded ~tuning
+          ~args m
       in
       Alcotest.(check (option string))
         (what ^ " [" ^ tuning_tag tuning ^ "]")
@@ -974,6 +977,200 @@ let qcheck_adversarial_ints =
            (Lazy.force adversarial_int_mod));
       true)
 
+
+(* ------------------------------------------------------------------ *)
+(* Call seam: pooled frames, slot-to-slot arguments, typed returns     *)
+(* ------------------------------------------------------------------ *)
+
+(* The typed engine runs each activation on a frame pooled per function
+   and recursion depth, copies arguments slot to slot and returns
+   results through typed lanes.  Every case runs under Reference and
+   every knob combination. *)
+
+let seam_n what m ns =
+  List.iter
+    (fun n -> ignore (diff_all_n ~n (Printf.sprintf "%s n=%d" what n) m))
+    ns
+
+let test_seam_recursion () =
+  seam_n "self+mutual recursion"
+    (compile
+       "int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }\n\
+        int is_even(int n) { if (n == 0) return 1; return is_odd(n - 1); }\n\
+        int is_odd(int n) { if (n == 0) return 0; return is_even(n - 1); }\n\
+        int main(int n) { return fib(n) * 10 + is_even(n) + is_odd(n + 3) * 2; }\n")
+    [ 0; 1; 2; 7; 12 ]
+
+let test_seam_hot_loop_mixes () =
+  (* A call per iteration, with int, long, float and double arguments
+     and returns, including conversions at the caller. *)
+  seam_n "hot-loop calls"
+    (compile
+       "int g[16];\n\
+        int step(int i, int acc) { g[i - (i / 16) * 16] = acc; return acc * 3 + i - (acc / 7) * 5; }\n\
+        double scale(double x, int k, float f) { return x * 0.5 + k + f; }\n\
+        long wide(long a, int b) { return a * 1000003 + b; }\n\
+        float half(float x) { return x / 2.0; }\n\
+        int main(int n) {\n\
+       \  int acc = 1; int i; double d = 0.0; long w = 7; float h = 1.0;\n\
+       \  for (i = 0; i < n; i = i + 1) {\n\
+       \    acc = step(i, acc); d = scale(d, i, h); w = wide(w, acc); h = half(h + 1.0);\n\
+       \  }\n\
+       \  int di = d;\n\
+       \  return acc + di + h + w - (w / 1000) * 1000;\n\
+        }\n")
+    [ 0; 1; 5; 200 ]
+
+(* Hand-written IR (MiniC has no pointers, and its frontend defines
+   every path of a variable): [@rec] reads %2 (int) and %3 (address) in
+   bb2 even when bb1, their only definition, did not run in this
+   activation.  A fresh register file reads 0 there; a reused pooled
+   frame must too.  [@main] calls [@rec] twice, so the second, shallower
+   descent runs on frames the first one wrote.  [@base]/[@bump] pass and
+   return addresses. *)
+let stale_frame_ir =
+  "global @g : i32[8] = zero\n\n\
+   func ptr @base(%0: i32) {\n\
+   bb0:\n\
+  \  %1 = gaddr @g\n\
+  \  %2 = gep %1, %0\n\
+  \  ret %2\n\
+   }\n\n\
+   func i32 @bump(%0: ptr, %1: i32) {\n\
+   bb0:\n\
+  \  %2 = load i32 %0\n\
+  \  %3 = add i32 %2, %1\n\
+  \  store %3, %0\n\
+  \  ret %3\n\
+   }\n\n\
+   func i32 @rec(%0: i32) {\n\
+   bb0:\n\
+  \  %1 = icmp sgt %0, 0:i32\n\
+  \  condbr %1, bb1, bb2\n\
+   bb1:\n\
+  \  %2 = add i32 %0, 100:i32\n\
+  \  %3 = call ptr @base(%0)\n\
+  \  %4 = sub i32 %0, 1:i32\n\
+  \  %5 = call i32 @rec(%4)\n\
+  \  br bb2\n\
+   bb2:\n\
+  \  %6 = add i32 %2, 1:i32\n\
+  \  %7 = icmp eq %3, 0:i32\n\
+  \  %8 = zext %7 to i32\n\
+  \  %9 = add i32 %6, %8\n\
+  \  ret %9\n\
+   }\n\n\
+   func i32 @main(%0: i32) {\n\
+   bb0:\n\
+  \  %1 = add i32 %0, 3:i32\n\
+  \  %2 = call i32 @rec(%1)\n\
+  \  %3 = call i32 @rec(%0)\n\
+  \  %4 = call ptr @base(2:i32)\n\
+  \  %5 = call i32 @bump(%4, %3)\n\
+  \  %6 = call i32 @bump(%4, %2)\n\
+  \  %7 = mul i32 %6, 1000:i32\n\
+  \  %8 = add i32 %7, %5\n\
+  \  ret %8\n\
+   }\n"
+
+let test_seam_stale_frames () =
+  let m = Ir.Parser.parse_module stale_frame_ir in
+  List.iter
+    (fun n ->
+      let r = diff_all_n ~n (Printf.sprintf "stale frames n=%d" n) m in
+      (* n = 0: [@rec 3] returns 104; [@rec 0] reads both undefined
+         registers as zero and returns 0 + 1 + 1 (null address) = 2,
+         where stale frames would give 104; bumps make g[2] 2 then
+         106 *)
+      if n = 0 then
+        Alcotest.(check bool)
+          "undefined registers read as zero" true
+          (match r.Vm.Machine.ret with
+          | Some v -> Ir.Eval.equal_value v (Ir.Eval.VInt 106_002L)
+          | None -> false))
+    [ 0; 1; 4 ]
+
+let test_seam_callee_fault () =
+  (* Faults raised inside a callee's frame, after earlier calls have
+     populated the pool: the message names the callee's block under
+     every combination. *)
+  let m =
+    compile
+      "int a[4];\n\
+       int deep(int n, int k) { int x = n * 3; if (n == 0) return a[k] + x; return deep(n - 1, k) + x; }\n\
+       int div0(int n) { int y = n + 1; return y / (n - n); }\n\
+       int main(int n) { int r = deep(3, 1); r = r + deep(4, n); return r + div0(n); }\n"
+  in
+  check_fault_parity_tunings "callee division by zero" ~n:1 m;
+  check_fault_parity_tunings "callee bad address" ~n:5000 m
+
+(* ------------------------------------------------------------------ *)
+(* Call-depth limit                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let down_src =
+  "int down(int n) { if (n == 0) return 0; return 1 + down(n - 1); }\n\
+   int main(int n) { return down(n); }\n"
+
+let test_depth_limit_small () =
+  (* main + down(n) .. down(0) is n + 2 activations. *)
+  let m = compile down_src in
+  ignore
+    (diff_all_tunings ~max_depth:16
+       ~args:[ Ir.Eval.VInt 14L ]
+       "depth 16 of 16" m);
+  check_fault_parity_tunings_args ~max_depth:16 "depth 17 of 16"
+    ~args:[ Ir.Eval.VInt 15L ]
+    m;
+  Alcotest.(check (option string))
+    "message names the callee and the limit"
+    (Some "@down: call depth exceeds the limit of 16")
+    (fault_msg_args ~max_depth:16 ~engine:Vm.Machine.Reference
+       ~args:[ Ir.Eval.VInt 15L ]
+       m);
+  (* mutual recursion: the limit trips on whichever callee opens the
+     activation past it *)
+  let mm =
+    compile
+      "int ping(int n) { if (n == 0) return 0; return pong(n - 1) + 1; }\n\
+       int pong(int n) { if (n == 0) return 0; return ping(n - 1) + 2; }\n\
+       int main(int n) { return ping(n); }\n"
+  in
+  check_fault_parity_tunings_args ~max_depth:9 "mutual depth"
+    ~args:[ Ir.Eval.VInt 20L ]
+    mm;
+  check_fault_parity_tunings_args ~max_depth:10 "mutual depth, other callee"
+    ~args:[ Ir.Eval.VInt 20L ]
+    mm;
+  (* the entry call counts: max_depth 1 allows main alone *)
+  ignore (diff_all_tunings ~max_depth:1 ~args:[ Ir.Eval.VInt 0L ] "entry only"
+            (compile "int main(int n) { return n + 1; }"));
+  Alcotest.check_raises "max_depth < 1 is rejected"
+    (Invalid_argument "Machine.run: max_depth must be >= 1 (got 0)")
+    (fun () ->
+      ignore
+        (Vm.Machine.run ~max_depth:0 m ~entry:"main"
+           ~args:[ Ir.Eval.VInt 1L ]))
+
+let test_depth_limit_default () =
+  (* Guest recursion past the default limit is a named fault on every
+     engine, not a host stack overflow. *)
+  let m = compile down_src in
+  let lim = Vm.Machine.default_max_depth in
+  ignore
+    (diff_all_tunings
+       ~args:[ Ir.Eval.VInt (Int64.of_int (lim - 2)) ]
+       "recursion at the default limit" m);
+  check_fault_parity_tunings_args "recursion past the default limit"
+    ~args:[ Ir.Eval.VInt (Int64.of_int (lim - 1)) ]
+    m;
+  Alcotest.(check (option string))
+    "default limit message"
+    (Some (Printf.sprintf "@down: call depth exceeds the limit of %d" lim))
+    (fault_msg_args ~engine:Vm.Machine.Reference
+       ~args:[ Ir.Eval.VInt 6_000_000L ]
+       m)
+
 (* ------------------------------------------------------------------ *)
 (* Allocation probe: typed register files must not allocate more       *)
 (* ------------------------------------------------------------------ *)
@@ -1012,6 +1209,29 @@ let test_regalloc_allocation_probe () =
        on off)
     true
     (on <= off +. 0.01)
+
+(* Absolute allocation bound on the default engine, first dataset:
+   int- and call-heavy workloads must stay under a fixed number of
+   minor-heap words per dynamic instruction.  What remains is the
+   boxing of values stored into untyped memory cells. *)
+let test_allocation_bound () =
+  List.iter
+    (fun (name, bound) ->
+      let w = Option.get (W.Registry.find name) in
+      let compiled = W.Workload.compile w in
+      let d = List.hd w.W.Workload.datasets in
+      ignore (W.Workload.run ~engine:Vm.Machine.Threaded compiled d);
+      let before = Gc.minor_words () in
+      let o = W.Workload.run ~engine:Vm.Machine.Threaded compiled d in
+      let after = Gc.minor_words () in
+      let per_instr =
+        (after -. before)
+        /. Int64.to_float o.Vm.Machine.profile.Vm.Profile.executed_instrs
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f words/instr <= %.1f" name per_instr bound)
+        true (per_instr <= bound))
+    [ ("429.mcf", 0.5); ("458.sjeng", 1.0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine golden: full Experiment reports are engine-invariant         *)
@@ -1222,6 +1442,20 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_adversarial_ints;
           Alcotest.test_case "allocation probe" `Slow
             test_regalloc_allocation_probe;
+          Alcotest.test_case "allocation bound" `Slow test_allocation_bound;
+        ] );
+      ( "call seam",
+        [
+          Alcotest.test_case "self and mutual recursion" `Quick
+            test_seam_recursion;
+          Alcotest.test_case "hot-loop calls, type mixes" `Quick
+            test_seam_hot_loop_mixes;
+          Alcotest.test_case "stale pooled frames" `Quick
+            test_seam_stale_frames;
+          Alcotest.test_case "callee faults" `Quick test_seam_callee_fault;
+          Alcotest.test_case "depth limit" `Quick test_depth_limit_small;
+          Alcotest.test_case "default depth limit" `Slow
+            test_depth_limit_default;
         ] );
       ( "engine golden",
         [
