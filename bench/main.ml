@@ -433,9 +433,11 @@ let vm_report ?workloads ?gate path =
   in
   let time_once compiled d engine tuning =
     Gc.major ();
+    let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     let out = W.Workload.run ~engine ~tuning compiled d in
-    (out, Unix.gettimeofday () -. t0)
+    let dt = Unix.gettimeofday () -. t0 in
+    (out, dt, Gc.minor_words () -. w0)
   in
   let configs =
     [
@@ -454,12 +456,16 @@ let vm_report ?workloads ?gate path =
         let compiled = W.Workload.compile w in
         let d = List.hd w.W.Workload.datasets in
         let best = Array.make (List.length configs) infinity in
+        let words = Array.make (List.length configs) 0.0 in
         let outs = Array.make (List.length configs) None in
         for _ = 1 to reps do
           List.iteri
             (fun i (_, engine, tuning) ->
-              let o, dt = time_once compiled d engine tuning in
+              let o, dt, w = time_once compiled d engine tuning in
               if dt < best.(i) then best.(i) <- dt;
+              (* allocation is deterministic: every rep measures the
+                 same count, the last one is kept *)
+              words.(i) <- w;
               outs.(i) <- Some o)
             configs
         done;
@@ -471,19 +477,21 @@ let vm_report ?workloads ?gate path =
           Int64.to_float (out 0).Vm.Machine.profile.Vm.Profile.executed_instrs
         in
         let ips i = instrs /. best.(i) in
+        let wpi = Array.map (fun w -> w /. instrs) words in
         Printf.eprintf
           "[bench] vm: %-14s %10.0f instrs  ref %7.2f  thr %7.2f  boxed \
-           %7.2f  tuned %7.2f Mi/s  (tuned/boxed %.2fx)\n\
+           %7.2f  tuned %7.2f Mi/s  (tuned/boxed %.2fx, tuned %.3f \
+           words/instr)\n\
            %!"
           name instrs (ips 0 /. 1e6) (ips 1 /. 1e6) (ips 2 /. 1e6)
-          (ips 3 /. 1e6) (ips 3 /. ips 2);
-        (name, instrs, best))
+          (ips 3 /. 1e6) (ips 3 /. ips 2) wpi.(3);
+        (name, instrs, best, wpi))
       names
   in
   let geomean ratio =
     let n = List.length rows in
     exp
-      (List.fold_left (fun acc (_, _, b) -> acc +. log (ratio b)) 0.0 rows
+      (List.fold_left (fun acc (_, _, b, _) -> acc +. log (ratio b)) 0.0 rows
       /. float_of_int n)
   in
   (* times are seconds, so speedup of config i over config j is
@@ -507,7 +515,7 @@ let vm_report ?workloads ?gate path =
   Buffer.add_string buf "  \"workloads\": [\n";
   let n = List.length rows in
   List.iteri
-    (fun i (name, instrs, b) ->
+    (fun i (name, instrs, b, wpi) ->
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"name\": %S, \"dynamic_instrs\": %.0f, \
@@ -516,16 +524,33 @@ let vm_report ?workloads ?gate path =
             \"reference_ips\": %.0f, \"threaded_ips\": %.0f, \
             \"tuned_boxed_ips\": %.0f, \"tuned_ips\": %.0f, \
             \"tuned_over_threaded\": %.4f, \
-            \"tuned_over_tuned_boxed\": %.4f}%s\n"
+            \"tuned_over_tuned_boxed\": %.4f, \
+            \"reference_words_per_instr\": %.3f, \
+            \"threaded_words_per_instr\": %.3f, \
+            \"tuned_boxed_words_per_instr\": %.3f, \
+            \"tuned_words_per_instr\": %.3f}%s\n"
            name instrs b.(0) b.(1) b.(2) b.(3) (instrs /. b.(0))
            (instrs /. b.(1))
            (instrs /. b.(2))
            (instrs /. b.(3))
            (b.(1) /. b.(3))
            (b.(2) /. b.(3))
+           wpi.(0) wpi.(1) wpi.(2) wpi.(3)
            (if i = n - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";
+  (* where the typed engine is still slower than the boxed tuned one —
+     the precondition for deleting the boxed tier (ROADMAP 1(d)) *)
+  Buffer.add_string buf
+    (Printf.sprintf "  \"tuned_below_tuned_boxed\": [%s],\n"
+       (String.concat ", "
+          (List.filter_map
+             (fun (name, _, b, _) ->
+               if b.(2) /. b.(3) < 1.0 then
+                 Some (Printf.sprintf "{\"name\": %S, \"ratio\": %.4f}" name
+                         (b.(2) /. b.(3)))
+               else None)
+             rows)));
   Buffer.add_string buf
     (Printf.sprintf
        "  \"geomean\": {\"threaded_over_reference\": %.4f, \
@@ -534,17 +559,29 @@ let vm_report ?workloads ?gate path =
        g_thr_ref g_boxed_thr g_tuned_thr g_tuned_ref g_tuned_boxed);
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"baseline\": {\"label\": \"PR 8 tuned engine, boxed register \
-        file\", \"pr4_threaded_over_reference_geomean\": 2.08, \
+       "  \"baseline\": {\"label\": \"PR 9 typed register files: int64 \
+        array int slots, boxed call seam\", \
+        \"pr9_tuned_over_reference_geomean\": 3.6821, \
+        \"pr9_tuned_over_threaded_geomean\": 1.5580, \
+        \"pr9_tuned_over_tuned_boxed_geomean\": 1.1812, \
+        \"pr9_tuned_over_tuned_boxed\": {\"164.gzip\": 0.9808, \
+        \"179.art\": 1.4398, \"183.equake\": 1.1482, \"188.ammp\": 1.4564, \
+        \"429.mcf\": 0.8977, \"433.milc\": 1.3991, \"444.namd\": 1.5183, \
+        \"458.sjeng\": 0.7915, \"470.lbm\": 2.2303, \"473.astar\": 0.8089, \
+        \"adpcm\": 0.8613, \"fft\": 1.4595, \"sor\": 1.2146, \
+        \"whetstone\": 1.0487}, \
+        \"pr9_tuned_words_per_instr\": {\"164.gzip\": 2.324, \
+        \"179.art\": 1.227, \"183.equake\": 0.745, \"188.ammp\": 0.324, \
+        \"429.mcf\": 2.581, \"433.milc\": 1.508, \"444.namd\": 0.351, \
+        \"458.sjeng\": 6.469, \"470.lbm\": 0.506, \"473.astar\": 1.974, \
+        \"adpcm\": 4.007, \"fft\": 0.857, \"sor\": 2.035, \
+        \"whetstone\": 4.132}, \
+        \"pr4_threaded_over_reference_geomean\": 2.08, \
         \"pr8_tuned_over_threaded_geomean\": 1.29, \
         \"pr8_tuned_over_reference_geomean\": 3.04, \
-        \"pr8_fft_tuned_over_threaded\": 1.08, \
-        \"regalloc_fft_target_over_tuned_boxed\": 1.10, \
         \"note\": \"the tuned-boxed config IS the PR 8 tuned engine \
-        (regalloc off); the typed register files attack the multi-use-load \
-        workloads (fft's butterflies) that bounded sink-tree fusion by \
-        removing per-write box allocation and per-read constructor \
-        matching\"}%s\n"
+        (regalloc off); words/instr is Gc.minor_words per dynamic \
+        instruction on the first dataset, deterministic across reps\"}%s\n"
        (match gate with None -> "" | Some _ -> ","));
   (match gate with
   | None -> ()

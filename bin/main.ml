@@ -514,9 +514,11 @@ let vm_regalloc_arg =
         ~doc:
           "Threaded-engine typed register files: partition each function's \
            virtual registers by declared type into unboxed \
-           int64/float/address slot arrays, boxing only at call/return, \
-           intrinsic, custom-instruction and memory seams — hot int/float \
-           paths allocate nothing.  Semantics-preserving; on by default.")
+           int64/float/address slot lanes, with pooled frames and a typed \
+           call seam; values box only at intrinsic, custom-instruction and \
+           memory seams (0.01-0.44 minor words per dynamic instruction \
+           measured over the registry, DESIGN.md §14).  \
+           Semantics-preserving; on by default.")
 
 let vm_link_budget_arg =
   Arg.(
