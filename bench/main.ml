@@ -373,32 +373,28 @@ let pipeline_report path =
 (* VM engine microbenchmark (BENCH_vm.json)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Dynamic-instructions/second of four VM configurations over the
+(* Dynamic-instructions/second of three VM configurations over the
    workload registry, reported as machine-readable JSON for CI:
 
-   - reference   — the AST-walking semantics baseline;
-   - threaded    — the threaded engine with every tuning knob off (the
-     PR 4 engine: indexed dispatch, one closure per IR instruction,
+   - reference — the AST-walking semantics baseline;
+   - untuned   — the threaded engine with every tuning knob off
+     ({!Vm.Machine.untuned}: indexed dispatch, no superinstructions,
      interpreted CIs);
-   - tuned-boxed — block linking, superinstruction fusion and
-     CI-native dispatch over the boxed register file (the PR 8 tuned
-     engine: {!Vm.Machine.default_tuning} with [regalloc] off);
-   - tuned       — everything on, including the typed unboxed register
-     files ({!Vm.Machine.default_tuning}).
+   - tuned     — everything on ({!Vm.Machine.default_tuning}).
 
-   Each workload's train dataset runs [reps] times per configuration —
+   Each workload's first dataset runs [reps] times per configuration —
    the configurations alternate within one rep loop, so slow drift
-   (frequency scaling, a noisy neighbour) hits all four equally — and
+   (frequency scaling, a noisy neighbour) hits all three equally — and
    the best wall time counts (the usual minimum-of-repetitions noise
    filter), with a major GC slice collected before each timing so one
-   run's garbage is not billed to the next.  All four outcomes are
+   run's garbage is not billed to the next.  All outcomes are
    cross-checked pairwise — a semantics divergence here fails the
    benchmark rather than producing a meaningless speedup number.
 
-   [workloads] restricts the sweep (the CI smoke step runs three pinned
-   workloads); [gate] is a floor on the tuned/threaded geomean below
-   which the run exits 1 (the CI regression tripwire: tuned must never
-   be slower than plain threaded). *)
+   [workloads] restricts the sweep (the CI smoke step runs four pinned
+   workloads); [gate] is a floor on the tuned/untuned geomean below
+   which the run exits 1 (the CI regression tripwire: the tuning knobs
+   must never make the engine slower). *)
 let vm_report ?workloads ?gate path =
   let reps = 5 in
   let names =
@@ -408,9 +404,7 @@ let vm_report ?workloads ?gate path =
         List.iter (fun n -> ignore (find_workload n)) only;
         only
   in
-  prerr_endline
-    "[bench] vm: reference vs threaded vs tuned-boxed vs tuned over the \
-     registry...";
+  prerr_endline "[bench] vm: reference vs untuned vs tuned over the registry...";
   let check_identical name what (a : Vm.Machine.outcome)
       (b : Vm.Machine.outcome) =
     let same_ret =
@@ -442,10 +436,7 @@ let vm_report ?workloads ?gate path =
   let configs =
     [
       ("reference", Vm.Machine.Reference, Vm.Machine.untuned);
-      ("threaded", Vm.Machine.Threaded, Vm.Machine.untuned);
-      ( "tuned-boxed",
-        Vm.Machine.Threaded,
-        { Vm.Machine.default_tuning with Vm.Machine.regalloc = false } );
+      ("untuned", Vm.Machine.Threaded, Vm.Machine.untuned);
       ("tuned", Vm.Machine.Threaded, Vm.Machine.default_tuning);
     ]
   in
@@ -470,21 +461,19 @@ let vm_report ?workloads ?gate path =
             configs
         done;
         let out i = Option.get outs.(i) in
-        check_identical name "reference vs threaded" (out 0) (out 1);
-        check_identical name "threaded vs tuned-boxed" (out 1) (out 2);
-        check_identical name "tuned-boxed vs tuned" (out 2) (out 3);
+        check_identical name "reference vs untuned" (out 0) (out 1);
+        check_identical name "untuned vs tuned" (out 1) (out 2);
         let instrs =
           Int64.to_float (out 0).Vm.Machine.profile.Vm.Profile.executed_instrs
         in
         let ips i = instrs /. best.(i) in
         let wpi = Array.map (fun w -> w /. instrs) words in
         Printf.eprintf
-          "[bench] vm: %-14s %10.0f instrs  ref %7.2f  thr %7.2f  boxed \
-           %7.2f  tuned %7.2f Mi/s  (tuned/boxed %.2fx, tuned %.3f \
-           words/instr)\n\
+          "[bench] vm: %-14s %10.0f instrs  ref %7.2f  untuned %7.2f  tuned \
+           %7.2f Mi/s  (tuned/untuned %.2fx, tuned %.3f words/instr)\n\
            %!"
           name instrs (ips 0 /. 1e6) (ips 1 /. 1e6) (ips 2 /. 1e6)
-          (ips 3 /. 1e6) (ips 3 /. ips 2) wpi.(3);
+          (ips 2 /. ips 1) wpi.(2);
         (name, instrs, best, wpi))
       names
   in
@@ -496,11 +485,9 @@ let vm_report ?workloads ?gate path =
   in
   (* times are seconds, so speedup of config i over config j is
      b.(j) /. b.(i) *)
-  let g_thr_ref = geomean (fun b -> b.(0) /. b.(1)) in
-  let g_boxed_thr = geomean (fun b -> b.(1) /. b.(2)) in
-  let g_tuned_thr = geomean (fun b -> b.(1) /. b.(3)) in
-  let g_tuned_ref = geomean (fun b -> b.(0) /. b.(3)) in
-  let g_tuned_boxed = geomean (fun b -> b.(2) /. b.(3)) in
+  let g_untuned_ref = geomean (fun b -> b.(0) /. b.(1)) in
+  let g_tuned_untuned = geomean (fun b -> b.(1) /. b.(2)) in
+  let g_tuned_ref = geomean (fun b -> b.(0) /. b.(2)) in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
@@ -511,7 +498,7 @@ let vm_report ?workloads ?gate path =
        reps);
   Buffer.add_string buf
     "  \"tuning\": {\"link\": true, \"fuse\": true, \"ci_native\": true, \
-     \"regalloc\": true, \"max_linked_blocks\": 64},\n";
+     \"max_linked_blocks\": 64},\n";
   Buffer.add_string buf "  \"workloads\": [\n";
   let n = List.length rows in
   List.iteri
@@ -519,69 +506,63 @@ let vm_report ?workloads ?gate path =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"name\": %S, \"dynamic_instrs\": %.0f, \
-            \"reference_seconds\": %.6f, \"threaded_seconds\": %.6f, \
-            \"tuned_boxed_seconds\": %.6f, \"tuned_seconds\": %.6f, \
-            \"reference_ips\": %.0f, \"threaded_ips\": %.0f, \
-            \"tuned_boxed_ips\": %.0f, \"tuned_ips\": %.0f, \
-            \"tuned_over_threaded\": %.4f, \
-            \"tuned_over_tuned_boxed\": %.4f, \
+            \"reference_seconds\": %.6f, \"untuned_seconds\": %.6f, \
+            \"tuned_seconds\": %.6f, \"reference_ips\": %.0f, \
+            \"untuned_ips\": %.0f, \"tuned_ips\": %.0f, \
+            \"tuned_over_untuned\": %.4f, \"tuned_over_reference\": %.4f, \
             \"reference_words_per_instr\": %.3f, \
-            \"threaded_words_per_instr\": %.3f, \
-            \"tuned_boxed_words_per_instr\": %.3f, \
+            \"untuned_words_per_instr\": %.3f, \
             \"tuned_words_per_instr\": %.3f}%s\n"
-           name instrs b.(0) b.(1) b.(2) b.(3) (instrs /. b.(0))
-           (instrs /. b.(1))
+           name instrs b.(0) b.(1) b.(2) (instrs /. b.(0)) (instrs /. b.(1))
            (instrs /. b.(2))
-           (instrs /. b.(3))
-           (b.(1) /. b.(3))
-           (b.(2) /. b.(3))
-           wpi.(0) wpi.(1) wpi.(2) wpi.(3)
+           (b.(1) /. b.(2))
+           (b.(0) /. b.(2))
+           wpi.(0) wpi.(1) wpi.(2)
            (if i = n - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";
-  (* where the typed engine is still slower than the boxed tuned one —
-     the precondition for deleting the boxed tier (ROADMAP 1(d)) *)
   Buffer.add_string buf
-    (Printf.sprintf "  \"tuned_below_tuned_boxed\": [%s],\n"
+    (Printf.sprintf "  \"tuned_below_untuned\": [%s],\n"
        (String.concat ", "
           (List.filter_map
              (fun (name, _, b, _) ->
-               if b.(2) /. b.(3) < 1.0 then
+               if b.(1) /. b.(2) < 1.0 then
                  Some (Printf.sprintf "{\"name\": %S, \"ratio\": %.4f}" name
-                         (b.(2) /. b.(3)))
+                         (b.(1) /. b.(2)))
                else None)
              rows)));
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"geomean\": {\"threaded_over_reference\": %.4f, \
-        \"tuned_boxed_over_threaded\": %.4f, \"tuned_over_threaded\": %.4f, \
-        \"tuned_over_reference\": %.4f, \"tuned_over_tuned_boxed\": %.4f},\n"
-       g_thr_ref g_boxed_thr g_tuned_thr g_tuned_ref g_tuned_boxed);
+       "  \"geomean\": {\"untuned_over_reference\": %.4f, \
+        \"tuned_over_untuned\": %.4f, \"tuned_over_reference\": %.4f},\n"
+       g_untuned_ref g_tuned_untuned g_tuned_ref);
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"baseline\": {\"label\": \"PR 9 typed register files: int64 \
-        array int slots, boxed call seam\", \
+       "  \"baseline\": {\"label\": \"PR 12 typed engine beside the boxed \
+        compiled tier: boxed memory cells, icmp+br the only typed \
+        superinstruction\", \
+        \"pr12_tuned_over_reference_geomean\": 5.2611, \
+        \"pr12_tuned_over_tuned_boxed_geomean\": 1.3988, \
+        \"pr12_tuned_over_reference\": {\"164.gzip\": 4.7362, \
+        \"179.art\": 4.9093, \"183.equake\": 5.5436, \"188.ammp\": 3.8561, \
+        \"429.mcf\": 7.3014, \"433.milc\": 4.8501, \"444.namd\": 4.5650, \
+        \"458.sjeng\": 6.8336, \"470.lbm\": 6.5106, \"473.astar\": 6.4570, \
+        \"adpcm\": 4.4541, \"fft\": 3.7221, \"sor\": 6.3478, \
+        \"whetstone\": 5.1244}, \
+        \"pr12_tuned_words_per_instr\": {\"164.gzip\": 0.026, \
+        \"179.art\": 0.195, \"183.equake\": 0.183, \"188.ammp\": 0.116, \
+        \"429.mcf\": 0.193, \"433.milc\": 0.439, \"444.namd\": 0.164, \
+        \"458.sjeng\": 0.276, \"470.lbm\": 0.339, \"473.astar\": 0.008, \
+        \"adpcm\": 0.363, \"fft\": 0.267, \"sor\": 0.139, \
+        \"whetstone\": 0.155}, \
         \"pr9_tuned_over_reference_geomean\": 3.6821, \
-        \"pr9_tuned_over_threaded_geomean\": 1.5580, \
-        \"pr9_tuned_over_tuned_boxed_geomean\": 1.1812, \
-        \"pr9_tuned_over_tuned_boxed\": {\"164.gzip\": 0.9808, \
-        \"179.art\": 1.4398, \"183.equake\": 1.1482, \"188.ammp\": 1.4564, \
-        \"429.mcf\": 0.8977, \"433.milc\": 1.3991, \"444.namd\": 1.5183, \
-        \"458.sjeng\": 0.7915, \"470.lbm\": 2.2303, \"473.astar\": 0.8089, \
-        \"adpcm\": 0.8613, \"fft\": 1.4595, \"sor\": 1.2146, \
-        \"whetstone\": 1.0487}, \
-        \"pr9_tuned_words_per_instr\": {\"164.gzip\": 2.324, \
-        \"179.art\": 1.227, \"183.equake\": 0.745, \"188.ammp\": 0.324, \
-        \"429.mcf\": 2.581, \"433.milc\": 1.508, \"444.namd\": 0.351, \
-        \"458.sjeng\": 6.469, \"470.lbm\": 0.506, \"473.astar\": 1.974, \
-        \"adpcm\": 4.007, \"fft\": 0.857, \"sor\": 2.035, \
-        \"whetstone\": 4.132}, \
-        \"pr4_threaded_over_reference_geomean\": 2.08, \
-        \"pr8_tuned_over_threaded_geomean\": 1.29, \
         \"pr8_tuned_over_reference_geomean\": 3.04, \
-        \"note\": \"the tuned-boxed config IS the PR 8 tuned engine \
-        (regalloc off); words/instr is Gc.minor_words per dynamic \
-        instruction on the first dataset, deterministic across reps\"}%s\n"
+        \"pr4_threaded_over_reference_geomean\": 2.08, \
+        \"note\": \"PR 12's untuned config was the boxed compiled tier \
+        with every knob off, so its tuned/threaded ratios are not \
+        comparable with tuned_over_untuned here; words/instr is \
+        Gc.minor_words per dynamic instruction on the first dataset, \
+        deterministic across reps\"}%s\n"
        (match gate with None -> "" | Some _ -> ","));
   (match gate with
   | None -> ()
@@ -589,20 +570,20 @@ let vm_report ?workloads ?gate path =
       Buffer.add_string buf
         (Printf.sprintf
            "  \"gate\": {\"floor\": %.4f, \"passed\": %b}\n" g
-           (g_tuned_thr >= g)));
+           (g_tuned_untuned >= g)));
   Buffer.add_string buf "}\n";
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Buffer.contents buf));
   Printf.eprintf
-    "[bench] vm: wrote %s (geomean: thr/ref %.2fx, tuned/thr %.2fx, \
-     tuned/ref %.2fx, tuned/boxed %.2fx)\n\
+    "[bench] vm: wrote %s (geomean: untuned/ref %.2fx, tuned/untuned %.2fx, \
+     tuned/ref %.2fx)\n\
      %!"
-    path g_thr_ref g_tuned_thr g_tuned_ref g_tuned_boxed;
+    path g_untuned_ref g_tuned_untuned g_tuned_ref;
   match gate with
-  | Some g when g_tuned_thr < g ->
+  | Some g when g_tuned_untuned < g ->
       Printf.eprintf
-        "bench: vm: tuned/threaded geomean %.4f is below the gate %.4f\n"
-        g_tuned_thr g;
+        "bench: vm: tuned/untuned geomean %.4f is below the gate %.4f\n"
+        g_tuned_untuned g;
       exit 1
   | _ -> ()
 
@@ -1127,7 +1108,7 @@ let chaos_report ~seeds ~base_seed path =
    --faults, --fault-seed SEED, --retries N, --deadline SECONDS,
    --pipeline-json FILE (with --pipeline-only to skip the rest),
    --vm-json FILE (with --vm-only to skip the rest, --vm-workloads CSV
-   to restrict the sweep, --vm-gate X to fail below a tuned/threaded
+   to restrict the sweep, --vm-gate X to fail below a tuned/untuned
    geomean floor), --store-json FILE
    with --store-dir DIR (and --store-only to skip the rest),
    --online-json FILE (with --online-only to skip the rest),

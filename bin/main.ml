@@ -471,7 +471,7 @@ let vm_engine_arg =
     & info [ "vm-engine" ] ~docv:"ENGINE"
         ~doc:
           "VM execution engine: $(b,threaded) (the default; per-block closure \
-           compilation with pre-decoded operands) or $(b,reference) (the \
+           compilation over typed, unboxed register files) or $(b,reference) (the \
            AST-walking baseline).  Profiles, reports and stage digests are \
            identical either way.")
 
@@ -491,10 +491,12 @@ let vm_fuse_arg =
     & opt bool Vm.Machine.default_tuning.Vm.Machine.fuse
     & info [ "vm-fuse" ] ~docv:"BOOL"
         ~doc:
-          "Threaded-engine superinstructions: peephole-fuse hot multi-op \
-           sequences (address computation, binop chains, compare-and-branch) \
-           into single closures.  Semantics-preserving; on by default.  \
-           Per-pattern hit counts print under $(b,--stage-stats).")
+          "Threaded-engine superinstructions: compare-and-branch, global \
+           addresses folded to constants, address arithmetic folded into \
+           the loads and stores that use it, and phi rows as slot-move \
+           tables.  \
+           Semantics-preserving; on by default.  Per-pattern hit counts \
+           print under $(b,--stage-stats).")
 
 let vm_ci_native_arg =
   Arg.(
@@ -505,20 +507,6 @@ let vm_ci_native_arg =
           "Execute loaded custom instructions as one fused native closure \
            compiled from the MISO subgraph instead of interpreting the \
            constituent ops.  Semantics-preserving; on by default.")
-
-let vm_regalloc_arg =
-  Arg.(
-    value
-    & opt bool Vm.Machine.default_tuning.Vm.Machine.regalloc
-    & info [ "vm-regalloc" ] ~docv:"BOOL"
-        ~doc:
-          "Threaded-engine typed register files: partition each function's \
-           virtual registers by declared type into unboxed \
-           int64/float/address slot lanes, with pooled frames and a typed \
-           call seam; values box only at intrinsic, custom-instruction and \
-           memory seams (0.01-0.44 minor words per dynamic instruction \
-           measured over the registry, DESIGN.md §14).  \
-           Semantics-preserving; on by default.")
 
 let vm_link_budget_arg =
   Arg.(
@@ -531,10 +519,9 @@ let vm_link_budget_arg =
 
 let vm_tuning_term =
   Term.(
-    const (fun link fuse ci_native regalloc max_linked_blocks ->
-        { Vm.Machine.link; fuse; ci_native; regalloc; max_linked_blocks })
-    $ vm_link_arg $ vm_fuse_arg $ vm_ci_native_arg $ vm_regalloc_arg
-    $ vm_link_budget_arg)
+    const (fun link fuse ci_native max_linked_blocks ->
+        { Vm.Machine.link; fuse; ci_native; max_linked_blocks })
+    $ vm_link_arg $ vm_fuse_arg $ vm_ci_native_arg $ vm_link_budget_arg)
 
 let evict_conv =
   let parse s =

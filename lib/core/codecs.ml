@@ -138,16 +138,23 @@ let profile : Vm.Profile.t B.codec =
 (** VM memory: the initialized cells below the stack pointer, the
     global layout and the growth limit.  [load] only ever reads below
     [stack_pointer], so this reconstructs an observationally identical
-    memory. *)
+    memory.  Each cell is written exactly as {!value} writes the value
+    it holds — tag byte, then the int64 / IEEE bits / varint address —
+    straight from the unboxed cell buffers. *)
 let memory : Vm.Memory.t B.codec =
   B.codec
     (fun b (m : Vm.Memory.t) ->
       B.w_int b m.Vm.Memory.stack_pointer;
       B.w_int b m.Vm.Memory.limit;
-      let n = min m.Vm.Memory.stack_pointer (Array.length m.Vm.Memory.cells) in
+      let n = min m.Vm.Memory.stack_pointer (Vm.Memory.capacity m) in
+      let tags = m.Vm.Memory.tags and data = m.Vm.Memory.data in
       B.w_len b n;
       for i = 0 to n - 1 do
-        value.B.enc b m.Vm.Memory.cells.(i)
+        let tag = Bytes.get tags i in
+        let bits = Bytes.get_int64_ne data (8 * i) in
+        B.w_byte b (Char.code tag);
+        if tag = Vm.Memory.tag_ptr then B.w_int b (Int64.to_int bits)
+        else B.w_int64 b bits
       done;
       let globals =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.Vm.Memory.globals []
@@ -158,9 +165,19 @@ let memory : Vm.Memory.t B.codec =
       let stack_pointer = B.r_int r in
       let limit = B.r_int r in
       let n = B.r_len r in
-      let cells = Array.make (max 1024 n) (Ir.Eval.VInt 0L) in
+      let cap = max 1024 n in
+      let tags = Bytes.make cap Vm.Memory.tag_int in
+      let data = Bytes.make (8 * cap) '\000' in
       for i = 0 to n - 1 do
-        cells.(i) <- value.B.dec r
+        let tag = B.r_byte r in
+        let bits =
+          match tag with
+          | 0 | 1 -> B.r_int64 r
+          | 2 -> Int64.of_int (B.r_int r)
+          | n -> B.corrupt "bad value tag %d" n
+        in
+        Bytes.set tags i (Char.chr tag);
+        Bytes.set_int64_ne data (8 * i) bits
       done;
       let pairs =
         B.r_list
@@ -172,7 +189,7 @@ let memory : Vm.Memory.t B.codec =
       in
       let globals = Hashtbl.create 16 in
       List.iter (fun (k, v) -> Hashtbl.replace globals k v) pairs;
-      { Vm.Memory.cells; stack_pointer; globals; limit })
+      { Vm.Memory.tags; data; stack_pointer; globals; limit })
 
 let machine_outcome : Vm.Machine.outcome B.codec =
   B.codec

@@ -11,7 +11,8 @@
     Two execution engines produce byte-identical outcomes: {!Reference}
     walks the instruction AST (the semantics baseline), {!Threaded}
     (the default) compiles each basic block once into an array of
-    pre-decoded operation closures.  See DESIGN.md §9. *)
+    pre-decoded operation closures over typed, unboxed register files
+    and memory cells.  See DESIGN.md §9 and §14. *)
 
 module Ir = Jitise_ir
 
@@ -83,21 +84,15 @@ type tuning = {
           compiled block directly instead of returning to the indexed
           dispatch loop *)
   fuse : bool;
-      (** superinstructions: peephole-fuse hot multi-op sequences into
-          single non-allocating closures *)
+      (** superinstructions: compare-and-branch, global addresses
+          folded to constants, address arithmetic folded into the
+          loads and stores that use it, and phi rows compiled to
+          slot-move tables — each an allocation-free closure
+          (DESIGN.md §13) *)
   ci_native : bool;
       (** dispatch a loaded CI's pre-compiled fused closure
           ({!ci_impl.ci_native}) instead of interpreting its MISO
           subgraph op by op *)
-  regalloc : bool;
-      (** typed register files: partition each function's registers by
-          declared type into unboxed int64/float/address slot lanes,
-          pooled per function and recursion depth; calls between
-          typed functions copy arguments slot to slot and return
-          through typed lanes.  Boxing remains at the intrinsic, CI and
-          memory seams; measured minor-heap words per dynamic
-          instruction are in DESIGN.md §14.  Off = the boxed compiled
-          blocks, exactly. *)
   max_linked_blocks : int;
       (** linked-transfer budget: after this many consecutive direct
           block-to-block transfers the engine takes one trip through
@@ -109,7 +104,7 @@ type tuning = {
 (** Everything on, [max_linked_blocks = 64]. *)
 val default_tuning : tuning
 
-(** The PR 4 threaded engine: every optimization layer off. *)
+(** The threaded engine with every optimization layer off. *)
 val untuned : tuning
 
 (** Per-pattern superinstruction hit counts since start (or the last

@@ -17,9 +17,17 @@
       {!global_base} of an unknown global. *)
 
 (** The memory state.  The representation is concrete on purpose: the
-    outcome codecs serialize and rebuild it field by field. *)
+    outcome codecs serialize and rebuild it field by field, and the
+    threaded engine reads and writes cells without boxing.
+
+    Cell [i] is unboxed: its tag is byte [i] of [tags] ({!tag_int},
+    {!tag_float} or {!tag_ptr}) and its payload the native-endian int64
+    at byte [8 * i] of [data] — the integer, the IEEE bits of the float,
+    or the address.  All-zero bytes read as [VInt 0L], so a fresh cell
+    is an int zero.  Both buffers always hold {!capacity} cells. *)
 type t = {
-  mutable cells : Jitise_ir.Eval.value array;
+  mutable tags : Bytes.t;
+  mutable data : Bytes.t;
   mutable stack_pointer : int;  (** next free cell *)
   globals : (string, int) Hashtbl.t;  (** global name -> base address *)
   limit : int;  (** hard cap on memory growth, in cells *)
@@ -28,9 +36,16 @@ type t = {
 exception Out_of_memory
 exception Bad_address of int
 
+val tag_int : char
+val tag_float : char
+val tag_ptr : char
+
 (** Fresh memory with an empty global table and the stack at address 1.
     @param limit growth cap in cells (default 16 M) *)
 val create : ?limit:int -> unit -> t
+
+(** Number of cells the buffers hold. *)
+val capacity : t -> int
 
 (** Read one cell.
     @raise Bad_address outside [(0, stack_pointer)]. *)

@@ -218,6 +218,67 @@ let test_codec_profile_outcomes () =
         o'.Vm.Machine.profile.Vm.Profile.executed_instrs)
     outcomes outcomes'
 
+(* Store compatibility of the memory codec: a memory holding an int, a
+   negative int, a float, a NaN, an address and Int64.min_int encodes
+   to exactly these bytes, the format the boxed-cell memory wrote, so
+   stores written before cells were unboxed stay readable.  The second
+   blob holds a float in the reserved cell 0 (only a decoded memory can
+   hold one there): it decodes, re-encodes byte for byte, and every
+   cell reads back through [Memory.load]. *)
+let golden_memory =
+  "108080801008000000000000000000002a0000000000000000f9ffffffffffffff010000\
+   000000000c4001010000000000f87f020600000000000000008000000000000000000001\
+   016702"
+
+let golden_memory_cell0 =
+  "108080801008010000000000000080002a0000000000000000f9ffffffffffffff010000\
+   000000000c4001010000000000f87f020600000000000000008000000000000000000001\
+   016702"
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let unhex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_codec_memory_golden () =
+  let m = Vm.Memory.create () in
+  let base = Vm.Memory.alloc m 7 in
+  let values =
+    [
+      Ir.Eval.VInt 42L;
+      Ir.Eval.VInt (-7L);
+      Ir.Eval.VFloat 3.5;
+      Ir.Eval.VFloat Float.nan;
+      Ir.Eval.VPtr 3;
+      Ir.Eval.VInt Int64.min_int;
+    ]
+  in
+  List.iteri (fun i v -> Vm.Memory.store m (base + i) v) values;
+  Hashtbl.replace m.Vm.Memory.globals "g" base;
+  Alcotest.(check string) "encoding" golden_memory
+    (hex (B.encode Core.Codecs.memory m));
+  let bits = function
+    | Ir.Eval.VFloat f -> Ir.Eval.VInt (Int64.bits_of_float f)
+    | v -> v
+  in
+  List.iter
+    (fun golden ->
+      let m' = B.decode Core.Codecs.memory (unhex golden) in
+      Alcotest.(check string) "re-encoding" golden
+        (hex (B.encode Core.Codecs.memory m'));
+      List.iteri
+        (fun i v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "cell %d" (base + i))
+            true
+            (bits (Vm.Memory.load m' (base + i)) = bits v))
+        (values @ [ Ir.Eval.VInt 0L ]);
+      Alcotest.(check int) "global" base (Vm.Memory.global_base m' "g"))
+    [ golden_memory; golden_memory_cell0 ]
+
 let test_codec_analyses () =
   let m, out = Lazy.force profiled in
   let out2 = W.Workload.run (Lazy.force compiled) { label = "t2"; n = 8 } in
@@ -535,6 +596,8 @@ let () =
             test_codec_compiler_result;
           Alcotest.test_case "profile_outcomes" `Quick
             test_codec_profile_outcomes;
+          Alcotest.test_case "memory golden bytes" `Quick
+            test_codec_memory_golden;
           Alcotest.test_case "coverage/kernel" `Quick test_codec_analyses;
           Alcotest.test_case "search artifacts" `Quick
             test_codec_search_artifacts;
