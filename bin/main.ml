@@ -2,8 +2,9 @@
 
     Subcommands regenerate every table and figure of the paper's
     evaluation ([table1] .. [table4], [figure1], [figure2], [all]),
-    inspect workloads ([list], [inspect]), and expose the compiler and
-    VM for ad-hoc MiniC programs ([compile], [run], [specialize]). *)
+    inspect workloads ([list], [inspect]), expose the compiler and VM
+    for ad-hoc MiniC programs ([compile], [run], [specialize]), and
+    write the machine-readable bench reports ([bench], see {!Bench}). *)
 
 module Ir = Jitise_ir
 module F = Jitise_frontend
@@ -17,8 +18,6 @@ module U = Jitise_util
 module Wool = Jitise_woolcano
 
 open Cmdliner
-
-let db = lazy (Pp.Database.create ())
 
 (* ------------------------------------------------------------------ *)
 (* Sweep-engine configuration shared by the table/specialize commands  *)
@@ -160,22 +159,15 @@ let run_list () =
   print_endline "\nphase-shifting (for the `online' command):";
   List.iter line W.Registry.phased
 
-let load_workload name =
-  match W.Registry.find name with
-  | Some w -> w
-  | None ->
-      Printf.eprintf "unknown workload %s (try `jitise list`)\n" name;
-      exit 1
-
 let run_inspect name =
-  let w = load_workload name in
+  let w = Cli.load_workload name in
   let r = W.Workload.compile w in
   print_string (Ir.Printer.module_to_string r.F.Compiler.modul)
 
 let run_specialize name trace jobs shared_cache stage_cache stage_stats
     store_dir vm_engine vm_tuning fault_options =
-  let w = load_workload name in
-  let db = Lazy.force db in
+  let w = Cli.load_workload name in
+  let db = Lazy.force Cli.db in
   let spec =
     mk_spec ~trace ~jobs ~shared_cache
       ~stage_cache:(stage_cache || stage_stats)
@@ -253,8 +245,8 @@ let run_specialize name trace jobs shared_cache stage_cache stage_stats
   finish_spec ~stage_stats spec trace
 
 let run_timeline name jobs fault_options =
-  let w = load_workload name in
-  let db = Lazy.force db in
+  let w = Cli.load_workload name in
+  let db = Lazy.force Cli.db in
   let spec =
     mk_spec ~trace:None ~jobs:1 ~shared_cache:false ~stage_cache:false
       ~store_dir:None ~vm_engine:Vm.Machine.default_engine
@@ -269,26 +261,16 @@ let run_timeline name jobs fault_options =
     (U.Duration.to_min_sec t.Core.Jit_manager.specialization_seconds)
     (1000.0 *. t.Core.Jit_manager.reconfiguration_seconds)
 
-(* The online loop wants one candidate per phase kernel, so it disables
-   the batch sweep's pruning filter: the controller itself decides what
-   is worth implementing, using live evidence instead of a whole-run
-   profile. *)
 let run_online name slots evict window decay latency_scale jobs =
-  let w = load_workload name in
-  let db = Lazy.force db in
+  let w = Cli.load_workload name in
   let online = { Core.Spec.slots; evict; window; decay; latency_scale } in
-  let spec =
-    Core.Spec.default
-    |> Core.Spec.with_prune Ise.Prune.none
-    |> Core.Spec.with_jobs jobs
-    |> Core.Spec.with_online online
-  in
-  let o = Core.Jit_manager.online ~spec db w in
+  let spec = Cli.online_spec ~online ~jobs () in
+  let o = Core.Jit_manager.online ~spec (Lazy.force Cli.db) w in
   Format.printf "%a" Core.Jit_manager.pp_online o
 
 let run_ablation name =
-  let w = load_workload name in
-  let db = Lazy.force db in
+  let w = Cli.load_workload name in
+  let db = Lazy.force Cli.db in
   let r = W.Workload.compile w in
   let d = List.hd w.W.Workload.datasets in
   let out = W.Workload.run r d in
@@ -393,18 +375,9 @@ let trace_arg =
            Chrome-trace JSON to $(docv) (open in chrome://tracing or \
            Perfetto).")
 
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "expected a count >= 1, got %d" n))
-    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let jobs_arg =
   Arg.(
-    value & opt positive_int 1
+    value & opt Cli.positive_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Evaluate workloads (and candidates) on $(docv) domains.  The \
@@ -511,7 +484,7 @@ let vm_ci_native_arg =
 let vm_link_budget_arg =
   Arg.(
     value
-    & opt positive_int Vm.Machine.default_tuning.Vm.Machine.max_linked_blocks
+    & opt Cli.positive_int Vm.Machine.default_tuning.Vm.Machine.max_linked_blocks
     & info [ "vm-link-budget" ] ~docv:"N"
         ~doc:
           "Consecutive direct block-to-block transfers before the linked \
@@ -535,7 +508,7 @@ let evict_conv =
 let slots_arg =
   Arg.(
     value
-    & opt positive_int Core.Spec.default_online.Core.Spec.slots
+    & opt Cli.positive_int Core.Spec.default_online.Core.Spec.slots
     & info [ "slots" ] ~docv:"N"
         ~doc:
           "Partial-reconfiguration slots on the modeled fabric.  Fewer \
@@ -555,7 +528,7 @@ let evict_arg =
 let window_arg =
   Arg.(
     value
-    & opt positive_int Core.Spec.default_online.Core.Spec.window
+    & opt Cli.positive_int Core.Spec.default_online.Core.Spec.window
     & info [ "window" ] ~docv:"N"
         ~doc:
           "Block executions per phase-profile window.  Smaller windows \
@@ -616,7 +589,7 @@ let fault_seed_arg =
 
 let retries_arg =
   Arg.(
-    value & opt positive_int 3
+    value & opt Cli.positive_int 3
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "CAD attempts per candidate before it degrades to the next-ranked \
@@ -652,7 +625,7 @@ let chaos_seed_arg =
 
 let stage_attempts_arg =
   Arg.(
-    value & opt positive_int 3
+    value & opt Cli.positive_int 3
     & info [ "stage-attempts" ] ~docv:"N"
         ~doc:
           "Supervised attempts per pipeline-stage execution before the \
@@ -713,7 +686,7 @@ let sweep_cmd name doc render =
               ~store_dir ~vm_engine ~vm_tuning ~fault_options
           in
           let results =
-            Core.Experiment.sweep ~verbose:true ~spec (Lazy.force db)
+            Core.Experiment.sweep ~verbose:true ~spec (Lazy.force Cli.db)
           in
           render ~faults:fault_options.faults results;
           finish_spec ~stage_stats spec trace)
@@ -779,6 +752,7 @@ let cmds =
             value & opt int 10
             & info [ "n" ] ~docv:"N" ~doc:"Argument passed to main")
         $ vm_engine_arg $ vm_tuning_term);
+    Bench.cmd;
   ]
 
 let () =

@@ -189,7 +189,7 @@ let emit_spans tracer (p : Hw.Project.t) stages ~failed =
                | Some f -> f.failed_stage = s.stage
                | None -> false
              in
-             Jitise_util.Trace.add t
+             Jitise_util.Trace.add t ~simulated:true
                ~cat:(if is_failed then "cad-fault" else "cad-sim")
                ~args:
                  [

@@ -16,7 +16,11 @@
       live pipeline stages;
     - {b synthetic spans} ({!add}) carry externally supplied
       timestamps/durations — used for the {e simulated} CAD stages,
-      whose minutes-long durations are modelled, not lived. *)
+      whose minutes-long durations are modelled, not lived.
+
+    The export puts the two clocks in separate trace processes: pid 1
+    holds wall-clock spans, pid 2 the spans added with [~simulated:true],
+    so minutes of modelled CAD time do not stretch the wall timeline. *)
 
 type event = {
   name : string;
@@ -25,6 +29,7 @@ type event = {
   dur : float;  (** seconds *)
   tid : int;
   args : (string * string) list;
+  simulated : bool;  (** on the simulated-time timeline, not wall clock *)
 }
 
 type t = { mutable events : event list; lock : Mutex.t }
@@ -33,10 +38,12 @@ let create () = { events = []; lock = Mutex.create () }
 
 let now = Unix.gettimeofday
 
-(** Record a fully specified event (synthetic timeline). *)
-let add (t : t) ?(cat = "pipeline") ?(args = []) ?tid ~name ~ts ~dur () =
+(** Record a fully specified event.  [~simulated:true] puts it on the
+    simulated-time timeline (the modelled CAD stages). *)
+let add (t : t) ?(cat = "pipeline") ?(args = []) ?tid ?(simulated = false)
+    ~name ~ts ~dur () =
   let tid = match tid with Some i -> i | None -> (Domain.self () :> int) in
-  let e = { name; cat; ts; dur; tid; args } in
+  let e = { name; cat; ts; dur; tid; args; simulated } in
   Mutex.protect t.lock (fun () -> t.events <- e :: t.events)
 
 (** [span tracer name f] runs [f ()], recording its wall-clock duration
@@ -62,21 +69,8 @@ let events (t : t) : event list =
   let es = Mutex.protect t.lock (fun () -> t.events) in
   List.sort (fun a b -> compare (a.ts, a.name) (b.ts, b.name)) es
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let wall_pid = 1
+let simulated_pid = 2
 
 let event_to_json (e : event) =
   let args =
@@ -86,19 +80,31 @@ let event_to_json (e : event) =
         let fields =
           List.map
             (fun (k, v) ->
-              Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+              Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
             args
         in
         Printf.sprintf ",\"args\":{%s}" (String.concat "," fields)
   in
   Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.1f,\"dur\":%.1f,\"pid\":1,\"tid\":%d%s}"
-    (json_escape e.name) (json_escape e.cat)
-    (e.ts *. 1e6) (e.dur *. 1e6) e.tid args
+    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.1f,\"dur\":%.1f,\"pid\":%d,\"tid\":%d%s}"
+    (Json.escape e.name) (Json.escape e.cat)
+    (e.ts *. 1e6) (e.dur *. 1e6)
+    (if e.simulated then simulated_pid else wall_pid)
+    e.tid args
+
+let process_name pid name =
+  Printf.sprintf
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"%s\"}}"
+    pid name
 
 (** Export as a Chrome trace-event JSON document. *)
 let to_json (t : t) : string =
-  let body = String.concat ",\n  " (List.map event_to_json (events t)) in
+  let body =
+    String.concat ",\n  "
+      (process_name wall_pid "wall clock"
+      :: process_name simulated_pid "simulated CAD time"
+      :: List.map event_to_json (events t))
+  in
   Printf.sprintf
     "{\"traceEvents\":[\n  %s\n],\"displayTimeUnit\":\"ms\"}\n" body
 

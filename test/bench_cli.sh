@@ -1,0 +1,22 @@
+#!/bin/sh
+# Usage: sh bench_cli.sh JITISE
+#
+# `jitise bench vm --workloads` rejects an unknown or empty workload name
+# as a usage error (exit 124) whose message lists the registry.
+jitise=$1
+for w in nosuch ''; do
+  msg=$("$jitise" bench vm --workloads "$w" 2>&1 >/dev/null)
+  status=$?
+  if [ "$status" != 124 ]; then
+    echo "--workloads '$w': exit $status, expected 124: $msg"
+    exit 1
+  fi
+  flat=$(printf '%s' "$msg" | tr -s ' \n' '  ')
+  case "$flat" in
+  *"unknown workload \"$w\" (have: 164.gzip, "*"phased.flash)"*) ;;
+  *)
+    echo "--workloads '$w': unexpected message: $msg"
+    exit 1
+    ;;
+  esac
+done

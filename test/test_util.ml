@@ -305,8 +305,9 @@ let contains ~needle hay =
 
 let test_trace_json_export () =
   let t = U.Trace.create () in
-  U.Trace.add t ~cat:"cad-sim" ~args:[ ("app", "sor") ] ~tid:1 ~name:"cad:\"map\""
-    ~ts:1.0 ~dur:2.0 ();
+  U.Trace.add t ~simulated:true ~cat:"cad-sim" ~args:[ ("app", "sor") ] ~tid:1
+    ~name:"cad:\"map\"" ~ts:1.0 ~dur:2.0 ();
+  U.Trace.add t ~tid:3 ~name:"profile" ~ts:0.5 ~dur:0.25 ();
   let json = U.Trace.to_json t in
   List.iter
     (fun needle ->
@@ -319,6 +320,11 @@ let test_trace_json_export () =
       "\"ts\":1000000.0";              (* seconds -> microseconds *)
       "\"dur\":2000000.0";
       "\"args\":{\"app\":\"sor\"}";
+      (* wall clock and simulated CAD time on separate, named timelines *)
+      "\"dur\":250000.0,\"pid\":1,\"tid\":3";
+      "\"dur\":2000000.0,\"pid\":2,\"tid\":1";
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,";
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,";
     ]
 
 let test_trace_write () =
@@ -333,6 +339,48 @@ let test_trace_write () =
       Alcotest.(check string) "file holds the export" (U.Trace.to_json t) written;
       Alcotest.(check bool) "looks like a chrome trace" true
         (contains ~needle:"\"traceEvents\"" written))
+
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let json = Alcotest.(check string)
+
+let test_json_escape () =
+  json "quote, backslash, newline, control" "\"a\\\"b\\\\c\\nd\\u0001\\u001f\""
+    (U.Json.to_string (U.Json.String "a\"b\\c\nd\001\031"));
+  json "object keys are escaped too" "{\"k\\\"\": null}"
+    (U.Json.to_string (U.Json.Obj [ ("k\"", U.Json.Null) ]))
+
+let test_json_containers () =
+  let open U.Json in
+  json "empty list" "[]" (to_string (List []));
+  json "empty object" "{}" (to_string (Obj []));
+  json "scalars stay on one line" "{\"a\": 1, \"b\": [], \"c\": true}"
+    (to_string (Obj [ ("a", Int 1); ("b", List []); ("c", Bool true) ]));
+  json "nested containers break lines"
+    "{\n  \"xs\": [\n    [1, 2],\n    {\"k\": \"v\"}\n  ],\n  \"n\": 0\n}"
+    (to_string
+       (Obj
+          [
+            ("xs", List [ List [ Int 1; Int 2 ]; Obj [ ("k", String "v") ] ]);
+            ("n", Int 0);
+          ]))
+
+let test_json_numbers () =
+  let open U.Json in
+  json "fixed decimals" "[0.6667, 0.000043, 89104060, 60.0]"
+    (to_string
+       (List
+          [
+            Fixed (4, 2.0 /. 3.0); Fixed (6, 0.000043); Fixed (0, 89104060.0);
+            Fixed (1, 60.0);
+          ]));
+  json "shortest round-trip floats" "[0.5, 100000, 0.1, -2.5e-07]"
+    (to_string (List [ Float 0.5; Float 1e5; Float 0.1; Float (-2.5e-7) ]));
+  json "non-finite floats are null" "[null, null, null, null]"
+    (to_string
+       (List [ Float nan; Fixed (4, infinity); Fixed (0, neg_infinity); Float infinity ]))
 
 (* ------------------------------------------------------------------ *)
 (* Retry                                                               *)
@@ -1009,6 +1057,12 @@ let () =
             test_trace_synthetic_events_sorted;
           Alcotest.test_case "chrome json" `Quick test_trace_json_export;
           Alcotest.test_case "write" `Quick test_trace_write;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "escaping" `Quick test_json_escape;
+          Alcotest.test_case "containers" `Quick test_json_containers;
+          Alcotest.test_case "numbers" `Quick test_json_numbers;
         ] );
       ( "digest",
         [
