@@ -16,11 +16,11 @@
       {!Jitise_util.Artifact} store ([spec.stage_cache]).
 
     The digest function hashes exactly the inputs the stage's output
-    depends on — IR text, profile counts, the relevant [Spec] knobs,
-    fault/retry configuration and seeds — so a sweep point re-runs only
-    the stages whose inputs actually changed: varying only the
-    selection config across twenty sweep points reuses the
-    compile/profile/prune/MAXMISO artifacts outright.  This generalizes
+    depends on — the module's binary encoding, profile counts, the
+    relevant [Spec] knobs, fault/retry configuration and seeds — so a
+    sweep point re-runs only the stages whose inputs actually changed:
+    varying only the selection config across twenty sweep points
+    reuses the compile/profile/prune/MAXMISO artifacts outright.  This generalizes
     the bitstream-only [Cad.Cache] of PR 1 to per-stage reuse with the
     same Local/Shared hit attribution.
 
@@ -282,9 +282,12 @@ let computed_of (rs : record list) stage =
 
 module D = U.Digest
 
-(** Digest of a module's canonical text (the printer round-trips, so
-    structurally equal modules digest equally). *)
-let digest_module (m : Ir.Irmod.t) = D.of_string (Ir.Printer.module_to_string m)
+(** Digest of a module's binary store encoding ({!Codecs.irmod}): the
+    codec carries every field, so structurally equal modules digest
+    equally, and one walker serves both the stored payload and the
+    key. *)
+let digest_module (m : Ir.Irmod.t) =
+  D.of_string (U.Binio.encode Codecs.irmod m)
 
 (** Digest of a profile's sorted (func, label, count) triples plus the
     dynamic instruction count. *)

@@ -138,8 +138,9 @@ val computed_of : record list -> string -> int
     measured may be. *)
 
 val digest_module : Ir.Irmod.t -> U.Digest.t
-(** Digest of a module's canonical text (the printer round-trips, so
-    structurally equal modules digest equally). *)
+(** Digest of a module's binary store encoding ({!Codecs.irmod}): the
+    codec carries every field, so structurally equal modules digest
+    equally, and the stored payload and the key share one walker. *)
 
 val digest_profile : Vm.Profile.t -> U.Digest.t
 (** Digest of a profile's sorted (func, label, count) triples plus the

@@ -13,39 +13,47 @@ type ctx = { mutable h : int64 }
 
 let create () = { h = fnv_offset }
 
-let feed_byte c b =
-  c.h <- Int64.mul (Int64.logxor c.h (Int64.of_int (b land 0xff))) fnv_prime
+(* Every feeder loads the running hash into a local, mixes its bytes
+   there and stores it back once: a local [int64] stays unboxed, while
+   each write to the mutable field allocates a fresh box. *)
+let[@inline] step h byte =
+  Int64.mul (Int64.logxor h (Int64.of_int byte)) fnv_prime
+
+let[@inline] byte_of x i =
+  Int64.to_int (Int64.shift_right_logical x (8 * i)) land 0xff
+
+(* The eight bytes of [x], least significant first. *)
+let[@inline] mix_word h x =
+  let h = step h (byte_of x 0) in
+  let h = step h (byte_of x 1) in
+  let h = step h (byte_of x 2) in
+  let h = step h (byte_of x 3) in
+  let h = step h (byte_of x 4) in
+  let h = step h (byte_of x 5) in
+  let h = step h (byte_of x 6) in
+  step h (byte_of x 7)
 
 (* One tag byte per value keeps adjacent fields from sliding into each
    other: add_string "ab"; add_string "" must differ from add_string "a";
    add_string "b" even before length prefixes are considered. *)
-let tag c ch = feed_byte c (Char.code ch)
+let tag c ch = c.h <- step c.h (Char.code ch)
 
-let feed_int64 c x =
-  for i = 0 to 7 do
-    feed_byte c (Int64.to_int (Int64.shift_right_logical x (i * 8)))
-  done
+let tagged_word c ch x = c.h <- mix_word (step c.h (Char.code ch)) x
 
-let add_int64 c x =
-  tag c 'I';
-  feed_int64 c x
-
-let add_int c x =
-  tag c 'i';
-  feed_int64 c (Int64.of_int x)
+let add_int64 c x = tagged_word c 'I' x
+let add_int c x = tagged_word c 'i' (Int64.of_int x)
 
 let add_string c s =
-  tag c 'S';
-  feed_int64 c (Int64.of_int (String.length s));
-  String.iter (fun ch -> feed_byte c (Char.code ch)) s
+  let len = String.length s in
+  let h = ref (mix_word (step c.h (Char.code 'S')) (Int64.of_int len)) in
+  for i = 0 to len - 1 do
+    h := step !h (Char.code (String.unsafe_get s i))
+  done;
+  c.h <- !h
 
-let add_float c x =
-  tag c 'F';
-  feed_int64 c (Int64.bits_of_float x)
+let add_float c x = tagged_word c 'F' (Int64.bits_of_float x)
 
-let add_bool c b =
-  tag c 'B';
-  feed_byte c (if b then 1 else 0)
+let add_bool c b = c.h <- step (step c.h (Char.code 'B')) (if b then 1 else 0)
 
 let add_option c f = function
   | None -> tag c 'n'
@@ -54,15 +62,12 @@ let add_option c f = function
       f x
 
 let add_list c f xs =
-  tag c 'L';
-  feed_int64 c (Int64.of_int (List.length xs));
+  tagged_word c 'L' (Int64.of_int (List.length xs));
   List.iter f xs
 
 let finish c = c.h
 
-let add_digest c (d : t) =
-  tag c 'D';
-  feed_int64 c d
+let add_digest c (d : t) = tagged_word c 'D' d
 
 let of_string s =
   let c = create () in

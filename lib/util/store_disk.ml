@@ -16,14 +16,20 @@
     with the three fields after the version Binio-framed.  Writers are
     crash-safe: the envelope is written to a unique [.tmp] sibling and
     [rename]d into place, so readers never observe a half-written
-    entry, and the first completed write wins.  Readers treat {e any}
-    defect — missing file, short read, bad magic or version, framing
-    errors, checksum mismatch — as a cache miss: the pipeline
-    recomputes and (re)writes the entry.  Bumping [version] therefore
-    invalidates old stores safely rather than breaking them. *)
+    entry, and the first completed write of a valid entry wins.
+    Readers treat {e any} defect — missing file, short read, bad magic
+    or version, framing errors, checksum mismatch — as a cache miss:
+    the pipeline recomputes, and [put] replaces the defective file
+    through the same temp-file-and-rename path.  Bumping [version]
+    therefore invalidates old stores safely rather than breaking them,
+    and each old entry is rewritten in the current format the first
+    time its stage recomputes. *)
 
 let magic = "JTSE"
-let version = 1
+
+(* 2: IR modules travel in the structural binary codec, and module
+   digests are taken over that encoding. *)
+let version = 2
 
 (* Unique tmp-file suffixes within one process; the pid namespaces
    concurrent processes sharing a store root. *)
@@ -79,9 +85,13 @@ let get ~root ~stage ~digest =
   | Some bytes -> (
       try Some (decode_envelope bytes) with Binio.Corrupt _ -> None)
 
+(* A valid current-version entry is never replaced (first put wins); a
+   missing or defective one — garbage, a tear, an older version — is
+   (re)written, so a damaged store heals on the next recompute instead
+   of missing forever. *)
 let put ?(chaos = Chaos.none) ~root ~stage ~digest ~builder ~payload () =
   let target = entry_path ~root ~stage ~digest in
-  if not (Sys.file_exists target) then begin
+  if Option.is_none (get ~root ~stage ~digest) then begin
     mkdir_p (Filename.dirname target);
     let tmp =
       Printf.sprintf "%s.tmp.%d.%d" target (Unix.getpid ())

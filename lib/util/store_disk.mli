@@ -4,10 +4,11 @@
     wrapped in a small versioned envelope (magic, format version,
     builder application, payload checksum, payload).  Writes go through
     a unique temp file plus [rename], so readers never observe a
-    half-written entry and the first completed write wins; readers
-    treat any defect (missing, truncated, bad magic/version/checksum)
-    as a cache miss.  See the implementation header for the exact
-    layout and the versioning policy. *)
+    half-written entry and the first completed write of a valid entry
+    wins; readers treat any defect (missing, truncated, bad
+    magic/version/checksum) as a cache miss, and the next [put] of a
+    defective entry rewrites it.  See the implementation header for
+    the exact layout and the versioning policy. *)
 
 val backend : ?chaos:Chaos.config -> root:string -> unit -> Artifact.backend
 (** A backend rooted at [root] (created if missing).  Multiple
@@ -43,5 +44,7 @@ val get : root:string -> stage:string -> digest:string -> (string * string) opti
 val put :
   ?chaos:Chaos.config ->
   root:string -> stage:string -> digest:string -> builder:string -> payload:string -> unit -> unit
-(** Low-level crash-safe first-put-wins write; [chaos] injects the
-    torn-envelope plane (see {!backend}). *)
+(** Low-level crash-safe write.  A valid current-version entry at the
+    target is kept (first put wins); a missing or defective one
+    (garbage, a torn envelope, an older format version) is replaced.
+    [chaos] injects the torn-envelope plane (see {!backend}). *)

@@ -464,6 +464,36 @@ let test_digest_pinned () =
   Alcotest.(check string) "int + string" "662becd93e401b9a"
     (U.Digest.to_hex (U.Digest.finish c))
 
+(* Golden FNV-1a values for inputs the fast feeders must treat exactly
+   like the byte-at-a-time definition: the empty string, bytes with the
+   high bit set, a long pseudo-random string, every typed feeder, and
+   the profile digest the perfbench oracle pins per application. *)
+let test_digest_golden () =
+  let hex s = U.Digest.to_hex (U.Digest.of_string s) in
+  Alcotest.(check string) "empty" "8aa984d6299805c2" (hex "");
+  Alcotest.(check string) "0x80" "c97c4f4641ebe539" (hex "\x80");
+  Alcotest.(check string) "0xff" "c97c084641eb6c94" (hex "\xff");
+  let p = U.Prng.create ~seed:15 in
+  let random = String.init 100_000 (fun _ -> Char.chr (U.Prng.int p 256)) in
+  Alcotest.(check string) "100 KB pseudo-random" "46574b29e9c9fc6f"
+    (hex random);
+  let c = U.Digest.create () in
+  U.Digest.add_int c (-1);
+  U.Digest.add_int64 c Int64.min_int;
+  U.Digest.add_float c Float.nan;
+  U.Digest.add_bool c false;
+  U.Digest.add_list c (U.Digest.add_string c) [ "\xff\x00"; "" ];
+  U.Digest.add_digest c (U.Digest.of_string "z");
+  Alcotest.(check string) "typed feeders" "af1ad885c1c6ac0a"
+    (U.Digest.to_hex (U.Digest.finish c));
+  let module W = Jitise_workloads in
+  let sor = Option.get (W.Registry.find "sor") in
+  let train = List.hd sor.W.Workload.datasets in
+  let out = W.Workload.run (W.Workload.compile sor) train in
+  Alcotest.(check string) "sor train profile" "6ab0b2d6f65eefd1"
+    (U.Digest.to_hex
+       (Jitise_core.Pipeline.digest_profile out.Jitise_vm.Machine.profile))
+
 let test_digest_stable_across_runs () =
   let build () =
     let c = U.Digest.create () in
@@ -1067,6 +1097,7 @@ let () =
       ( "digest",
         [
           Alcotest.test_case "pinned values" `Quick test_digest_pinned;
+          Alcotest.test_case "golden FNV values" `Quick test_digest_golden;
           Alcotest.test_case "stable across runs" `Quick
             test_digest_stable_across_runs;
           Alcotest.test_case "distinguishes inputs" `Quick
