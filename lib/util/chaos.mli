@@ -49,7 +49,9 @@ type config = {
   store_write_drop_rate : float;  (** backend write silently lost *)
   store_torn_rate : float;
       (** on-disk envelope truncated mid-write (disk backend only; the
-          envelope checksum degrades it to a permanent miss) *)
+          envelope checksum degrades it to a miss, and the next put
+          rewrites it — torn again under the same seed, healed by a
+          chaos-free run) *)
   store_latency_rate : float;  (** backend read latency spike *)
   store_latency_seconds : float;
       (** mean spike, {e real} seconds; bounded by {!validate} *)

@@ -289,13 +289,13 @@ let test_disk_corruption_degrades_to_recompute () =
                 (Core.Pipeline.computed_of (records r) stage))
             [ "profile"; "kernel"; "prune"; "maxmiso"; "select" ])
         warm;
-      (* The recomputed artifacts do not replace the damaged files (first
-         put wins only for *valid* entries — the byte layer sees the
-         corrupt file as present), so a THIRD run must behave like the
-         second: recompute the damaged stages, hit everything else,
-         report unchanged. *)
+      (* The recomputed artifacts replace the damaged files (first put
+         wins only for *valid* entries), so a THIRD run hits every stage
+         and reports the same. *)
       let third = eval_apps ~spec:(spec ()) db in
-      check_identical "third run still identical" cold third)
+      check_identical "third run still identical" cold third;
+      Alcotest.(check int) "third run computes nothing" 0
+        (total_computed third))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental recomputation                                           *)
