@@ -534,9 +534,11 @@ let vm workloads out =
    hit really crosses the serialization boundary — and must recompute
    zero stages while producing a byte-identical report projection (the
    deterministic tables; measured wall clocks are excluded by
-   construction).  Per-stage serialized sizes come from walking the
-   store directory.  Serial on purpose, like the pipeline report: exact
-   counter values are only meaningful at jobs = 1. *)
+   construction).  Per-stage serialized sizes come from the segment
+   indexes.  Then one profile record is damaged in place: the next run
+   must recompute exactly it, and the run after that nothing.  Serial
+   on purpose, like the pipeline report: exact counter values are only
+   meaningful at jobs = 1. *)
 let store out =
   let apps = [ "sor"; "fft" ] in
   prerr_endline "[bench] store: cold vs warm against a disk-backed store...";
@@ -571,11 +573,12 @@ let store out =
   in
   if proj cold_results <> proj warm_results then
     fail "store: warm report differs from the cold report";
-  let warm_computed =
+  let computed sum =
     List.fold_left
       (fun acc (s : Core.Pipeline.summary) -> acc + s.Core.Pipeline.sum_computed)
-      0 warm_sum
+      0 sum
   in
+  let warm_computed = computed warm_sum in
   if warm_computed <> 0 then
     fail "store: warm run recomputed %d stage executions" warm_computed;
   let entries =
@@ -586,6 +589,28 @@ let store out =
   let total_bytes =
     List.fold_left (fun acc (_, _, bytes) -> acc + bytes) 0 entries
   in
+  (* Damage one profile record in place: the next run must recompute
+     exactly that entry, and its put heals the key for the run after. *)
+  let digest =
+    U.Digest.to_hex
+      (Core.Experiment.workload_digest (Cli.load_workload (List.hd apps)))
+  in
+  (match U.Store_disk.locate ~root ~stage:"profile" ~digest with
+  | None -> fail "store: no profile record for %s" (List.hd apps)
+  | Some (path, off, len) ->
+      let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+      let i = off + len - 1 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b));
+  List.iter
+    (fun (what, expect) ->
+      let _, results, sum, _ = run_once () in
+      if proj results <> proj cold_results then
+        fail "store: %s report differs from the cold report" what;
+      if computed sum <> expect then
+        fail "store: %s run recomputed %d stage executions, expected %d" what
+          (computed sum) expect)
+    [ ("damaged", 1); ("healed", 0) ];
   let half wall summaries =
     J.Obj
       [
@@ -906,6 +931,12 @@ let chaos seeds out =
     if orphans <> 0 then
       violate seed "%d orphan temp files survived the store's own sweep"
         orphans;
+    (* Every run, failed ones included, commits its segment. *)
+    let open_segments =
+      U.Store_disk.temp_segments ~root:root1 + U.Store_disk.temp_segments ~root:root2
+    in
+    if open_segments <> 0 then
+      violate seed "%d store segments were left uncommitted" open_segments;
     let reports =
       List.filter_map
         (function Ok r -> Some r.Core.Experiment.report | Error _ -> None)

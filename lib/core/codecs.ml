@@ -22,8 +22,8 @@
     Versioning: codecs have no per-codec version tags; the store
     envelope version in {!Jitise_util.Store_disk} covers the whole
     format, so any codec change must bump that version.  Old entries
-    then read as misses: the pipeline recomputes them and rewrites
-    them in place in the current format. *)
+    then read as misses: the pipeline recomputes them and writes
+    them again in the current format. *)
 
 module Ir = Jitise_ir
 module F = Jitise_frontend

@@ -167,10 +167,18 @@ let finish ~(spec : Spec.t) (p : prepared) : app_result =
     break_even;
   }
 
+(* Commit what the run wrote to the store's backend, failed and
+   cancelled runs included: a disk backend's puts only become visible
+   to later runs at a flush. *)
+let flushing (spec : Spec.t) f =
+  Fun.protect
+    ~finally:(fun () -> Option.iter U.Artifact.flush spec.Spec.stage_cache)
+    f
+
 (** Run the full experiment pipeline for one workload. *)
 let evaluate ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
     app_result =
-  finish ~spec (prepare ~spec db w)
+  flushing spec (fun () -> finish ~spec (prepare ~spec db w))
 
 (** Run every registered workload — the sweep engine.  [spec.jobs]
     domains prepare the applications concurrently; finalization runs
@@ -180,6 +188,7 @@ let evaluate ?(spec = Spec.default) (db : Pp.Database.t) (w : W.Workload.t) :
     stderr (a full sweep interprets ~10^8 simulated instructions). *)
 let sweep ?(verbose = false) ?(spec = Spec.default) (db : Pp.Database.t) :
     app_result list =
+  flushing spec @@ fun () ->
   let prepared =
     U.Pool.map ~jobs:spec.Spec.jobs
       (fun w ->

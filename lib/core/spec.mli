@@ -128,9 +128,11 @@ val with_store_dir : string -> t -> t
 (** [with_store_dir dir t] builds a fresh artifact store over
     {!U.Store_disk} rooted at [dir] (created if missing) and installs
     it as [stage_cache] — the one-call way to get persistent, warm-
-    restartable stage memoization.  The store chaos planes are wired
-    in from [t.chaos] at construction time, so apply {!with_chaos}
-    {e before} this when combining them. *)
+    restartable stage memoization.  Its puts reach the disk when
+    {!U.Artifact.flush} runs, which [Experiment.sweep] and
+    [Experiment.evaluate] do as they return.  The store chaos planes
+    are wired in from [t.chaos] at construction time, so apply
+    {!with_chaos} {e before} this when combining them. *)
 
 val with_faults : Cad.Faults.config -> t -> t
 (** @raise Invalid_argument on an out-of-range fault configuration. *)

@@ -48,9 +48,21 @@ let dfg_of (m : Ir.Irmod.t) (c : Candidate.t) =
 (** Score and filter candidates. *)
 let select ?(config = default_config) (db : Pp.Database.t) (m : Ir.Irmod.t)
     (profile : Vm.Profile.t) (candidates : Candidate.t list) : scored list =
+  (* Candidates share home blocks, and building a DFG scans the whole
+     function: build each one once per call. *)
+  let dfgs = Hashtbl.create 64 in
+  let dfg_of c =
+    let k = (c.Candidate.func, c.Candidate.block) in
+    match Hashtbl.find_opt dfgs k with
+    | Some d -> d
+    | None ->
+        let d = dfg_of m c in
+        Hashtbl.add dfgs k d;
+        d
+  in
   let candidates =
     if config.split_wide then
-      Split.constrain (dfg_of m) ~max_inputs:config.max_inputs candidates
+      Split.constrain dfg_of ~max_inputs:config.max_inputs candidates
     else candidates
   in
   let scored =
@@ -58,7 +70,7 @@ let select ?(config = default_config) (db : Pp.Database.t) (m : Ir.Irmod.t)
       (fun c ->
         if c.Candidate.num_inputs > config.max_inputs then None
         else
-          let dfg = dfg_of m c in
+          let dfg = dfg_of c in
           match Pp.Estimator.estimate db dfg c.Candidate.nodes with
           | None -> None
           | Some est ->

@@ -34,6 +34,7 @@ type backend = {
   backend_put :
     stage:string -> digest:string -> builder:string -> payload:string -> unit;
   backend_entries : unit -> (string * int * int) list;
+  backend_flush : unit -> unit;
 }
 
 let memory_backend () =
@@ -62,6 +63,7 @@ let memory_backend () =
               table;
             Hashtbl.fold (fun s (n, b) acc -> (s, n, b) :: acc) per []
             |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)));
+    backend_flush = ignore;
   }
 
 type entry = { value : univ; builder : string }
@@ -98,6 +100,8 @@ let backend_kind t = Option.map (fun b -> b.backend_kind) t.backend
 
 let backend_entries t =
   match t.backend with None -> [] | Some b -> b.backend_entries ()
+
+let flush t = Option.iter (fun b -> b.backend_flush ()) t.backend
 
 let counter_of t stage =
   Mutex.protect t.lock (fun () ->

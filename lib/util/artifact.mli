@@ -65,7 +65,13 @@ val key_persistent : _ key -> bool
 (** A byte-oriented storage backend.  Implementations must be safe for
     concurrent use and first-put-wins; [backend_get] returns
     [(builder, payload)] or [None] for absent {e or unreadable}
-    entries. *)
+    entries.
+
+    A backend may buffer puts: they are readable through the same
+    backend at once, but other backends and processes see them only
+    after [backend_flush].  {!Store_disk} streams puts into an open
+    segment file and commits it on flush; the in-memory backend flushes
+    nothing. *)
 type backend = {
   backend_kind : string;  (** e.g. ["memory"] or ["disk:<root>"] *)
   backend_get : stage:string -> digest:string -> (string * string) option;
@@ -74,6 +80,9 @@ type backend = {
   backend_entries : unit -> (string * int * int) list;
       (** per-stage [(stage, entry count, serialized bytes)], sorted by
           stage name *)
+  backend_flush : unit -> unit;
+      (** make every put so far durable and visible to other backends;
+          never raises *)
 }
 
 val memory_backend : unit -> backend
@@ -92,6 +101,11 @@ val backend_kind : t -> string option
 val backend_entries : t -> (string * int * int) list
 (** Per-stage [(stage, entries, bytes)] persisted in the backend; [[]]
     without a backend.  Feeds the bench [BENCH_store.json] size report. *)
+
+val flush : t -> unit
+(** Flush the backend, if any ([backend_flush]).  The sweep engine
+    calls it when a sweep or an evaluation ends, failed runs included;
+    without a flush, a disk backend's puts are lost with the process. *)
 
 val find : t -> 'a key -> app:string -> digest:Digest.t -> ('a * hit) option
 (** Probe for a stage artifact.  A hit is counted and attributed ([Local]

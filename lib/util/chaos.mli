@@ -50,8 +50,8 @@ type config = {
   store_torn_rate : float;
       (** on-disk envelope truncated mid-write (disk backend only; the
           envelope checksum degrades it to a miss, and the next put
-          rewrites it — torn again under the same seed, healed by a
-          chaos-free run) *)
+          appends it again — torn again under the same seed, healed by
+          a chaos-free run) *)
   store_latency_rate : float;  (** backend read latency spike *)
   store_latency_seconds : float;
       (** mean spike, {e real} seconds; bounded by {!validate} *)

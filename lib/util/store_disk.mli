@@ -1,50 +1,52 @@
 (** Persistent content-addressed artifact backend.
 
-    Stores one file per artifact under [<root>/<stage>/<digest-hex>],
-    wrapped in a small versioned envelope (magic, format version,
-    builder application, payload checksum, payload).  Writes go through
-    a unique temp file plus [rename], so readers never observe a
-    half-written entry and the first completed write of a valid entry
-    wins; readers treat any defect (missing, truncated, bad
-    magic/version/checksum) as a cache miss, and the next [put] of a
-    defective entry rewrites it.  See the implementation header for
-    the exact layout and the versioning policy. *)
+    Stores artifacts in append-only segment files under [<root>/seg/]
+    (format version 3).  Each backend streams every put's envelope
+    (magic, format version, builder application, payload checksum,
+    payload) into one open temporary segment; flushing it writes a
+    checksummed trailing index and a footer and commits the segment
+    under a fresh name that never replaces another.  Readers load only
+    footers and indexes, and list [seg/] again on every miss, so
+    segments committed by other backends and processes become visible
+    at the next miss.  A lookup serves the key's first record that
+    validates: any defect (torn or unflushed segment, bad
+    magic/version/checksum, trailing bytes) reads as a miss, and the
+    recompute's put appends a valid record, so the key heals.  A flush
+    that leaves more than eight committed segments merges the smallest
+    ones, keeping each key's first valid record, so the segment count
+    stays bounded.  See the implementation header for the exact
+    layout. *)
 
 val backend : ?chaos:Chaos.config -> root:string -> unit -> Artifact.backend
 (** A backend rooted at [root] (created if missing).  Multiple
-    processes and stores may share one root concurrently.
+    processes and backends may share one root concurrently.  Puts are
+    visible through this backend at once and to others after
+    [backend_flush]; puts never flushed are lost, which the store
+    tolerates as misses: a process killed before its flush keeps
+    nothing of what it computed.
 
-    Opening the backend sweeps stale [*.tmp.*] orphans left under
-    [root] by writers that crashed between temp-write and rename —
-    without the sweep they would leak forever.  A live writer's temp
-    file can be swept too (the pid in the name only namespaces
-    {e concurrent} processes); that writer's [rename] then fails and
-    degrades to a skipped write, which first-put-wins tolerates.
+    Opening the backend runs {!sweep_orphans} and loads the index of
+    every committed segment.
 
-    [chaos] (default {!Chaos.none}) injects the torn-envelope fault
+    [chaos] (default {!Chaos.none}) injects the torn-record fault
     plane: a [put] whose [(stage, digest)] site rolls
-    {!Chaos.store_torn} truncates the envelope bytes on disk, below
-    the payload checksum, so every later read detects the tear and
-    degrades to a miss — modelling a partial write that the crash-safe
-    rename protocol cannot see.  The other store planes (read errors,
-    dropped writes, latency) live above the envelope; inject them with
+    {!Chaos.store_torn} writes only a prefix of its envelope, below the
+    payload checksum, so every later read of that record detects the
+    tear and degrades to a miss while its neighbours in the segment
+    are still served.  The other store planes (read errors, dropped
+    writes, latency) live above the envelope; inject them with
     {!Chaos.wrap_backend}. *)
 
 val sweep_orphans : root:string -> int
-(** Remove stale [*.tmp.*] files under [root]'s stage directories,
-    returning how many were removed.  Called by {!backend}. *)
+(** Remove the temporary segments under [root] whose writing process
+    has exited (it crashed before its flush), returning how many were
+    removed.  Segments of live processes, this one included, are kept.
+    Called by {!backend}. *)
 
-val entry_path : root:string -> stage:string -> digest:string -> string
-(** Path of the entry file for [(stage, digest-hex)] — exposed so tests
-    can truncate or corrupt specific entries. *)
+val temp_segments : root:string -> int
+(** Temporary (unflushed) segments currently under [root]. *)
 
-val get : root:string -> stage:string -> digest:string -> (string * string) option
-(** Low-level read, returning [(builder, payload)] for a valid entry. *)
-
-val put :
-  ?chaos:Chaos.config ->
-  root:string -> stage:string -> digest:string -> builder:string -> payload:string -> unit -> unit
-(** Low-level crash-safe write.  A valid current-version entry at the
-    target is kept (first put wins); a missing or defective one
-    (garbage, a torn envelope, an older format version) is replaced.
-    [chaos] injects the torn-envelope plane (see {!backend}). *)
+val locate : root:string -> stage:string -> digest:string -> (string * int * int) option
+(** [(path, offset, length)] of the first indexed record of
+    [(stage, digest-hex)] in the committed segments — exposed so tests
+    and benches can damage one record in place. *)

@@ -3113,7 +3113,10 @@ let run ?(fuel = 4_000_000_000L) ?(jit = Jit_model.default)
     ?(tuning = default_tuning) ?(max_depth = default_max_depth) ?monitor
     (m : Ir.Irmod.t) ~entry ~(args : Ir.Eval.value list) : outcome =
   let memory = Memory.create () in
-  Memory.load_globals memory m;
+  (* Guest input like any other: globals past the cap are a fault. *)
+  (try Memory.load_globals memory m
+   with Memory.Out_of_memory ->
+     fault "globals: out of memory (limit %d cells)" memory.Memory.limit);
   let funcs = Hashtbl.create 16 in
   List.iter
     (fun (f : Ir.Func.t) ->

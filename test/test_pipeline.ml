@@ -250,7 +250,7 @@ let test_golden_disk_faults () =
       Alcotest.(check int) "faulted warm restart computes nothing" 0
         (total_computed warm))
 
-(* Corrupt and truncate store files under a warm root: the affected
+(* Corrupt and cut short store records under a warm root: the affected
    stages silently recompute, the report does not change, and the
    defective entries are the only extra computes. *)
 let test_disk_corruption_degrades_to_recompute () =
@@ -258,17 +258,27 @@ let test_disk_corruption_degrades_to_recompute () =
       let db = Pp.Database.create () in
       let spec () = Core.Spec.with_store_dir root Core.Spec.default in
       let cold = eval_apps ~spec:(spec ()) db in
-      (* Damage every entry of two stages, differently. *)
+      (* Damage every app's record of two stages in place, differently
+         (both stages are keyed by the workload digest). *)
       let damage stage f =
-        let dir = Filename.concat root stage in
-        Array.iter (fun name -> f (Filename.concat dir name)) (Sys.readdir dir)
+        List.iter
+          (fun name ->
+            let digest =
+              U.Digest.to_hex (Core.Experiment.workload_digest (find_workload name))
+            in
+            match U.Store_disk.locate ~root ~stage ~digest with
+            | None -> Alcotest.failf "no %s record for %s" stage name
+            | Some (path, off, len) ->
+                let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+                f b off len;
+                Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b))
+          apps
       in
-      damage "compile" (fun path ->
-          let len = (Unix.stat path).Unix.st_size in
-          Unix.truncate path (len / 3));
-      damage "coverage" (fun path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc "JTSEgarbage that is no envelope"));
+      (* Only the first third of the record survives. *)
+      damage "compile" (fun b off len ->
+          Bytes.fill b (off + (len / 3)) (len - (len / 3)) '\000');
+      damage "coverage" (fun b off _ ->
+          Bytes.blit_string "JTSEgarbage that is no envelope" 0 b off 31);
       let warm = eval_apps ~spec:(spec ()) db in
       check_identical "report identical despite corrupt entries" cold warm;
       List.iter
@@ -289,9 +299,9 @@ let test_disk_corruption_degrades_to_recompute () =
                 (Core.Pipeline.computed_of (records r) stage))
             [ "profile"; "kernel"; "prune"; "maxmiso"; "select" ])
         warm;
-      (* The recomputed artifacts replace the damaged files (first put
-         wins only for *valid* entries), so a THIRD run hits every stage
-         and reports the same. *)
+      (* The recomputes append valid records after the damaged ones
+         (first put wins only for *valid* entries), so a THIRD run hits
+         every stage and reports the same. *)
       let third = eval_apps ~spec:(spec ()) db in
       check_identical "third run still identical" cold third;
       Alcotest.(check int) "third run computes nothing" 0

@@ -541,235 +541,463 @@ let test_codec_hw_and_cad () =
     (Cad.Bitstream.well_formed (rt Core.Codecs.bitstream bad))
 
 (* ------------------------------------------------------------------ *)
-(* Store_disk: envelope, crash-safety, defect tolerance                *)
+(* Store_disk: segments, crash-safety, defect tolerance                *)
 (* ------------------------------------------------------------------ *)
 
 let digest_hex s = U.Digest.to_hex (U.Digest.of_string s)
 
+let disk ?chaos root = U.Store_disk.backend ?chaos ~root ()
+let bget (b : U.Artifact.backend) ~stage ~digest = b.U.Artifact.backend_get ~stage ~digest
+
+let bput (b : U.Artifact.backend) ~stage ~digest ~builder ~payload =
+  b.U.Artifact.backend_put ~stage ~digest ~builder ~payload
+
+let bflush (b : U.Artifact.backend) = b.U.Artifact.backend_flush ()
+
+(* What a later process sees: a new backend over the same root. *)
+let fresh_get root ~stage ~digest = bget (disk root) ~stage ~digest
+
+let entry = Alcotest.(option (pair string string))
+
+(* Overwrite the bytes of one record in place with [f record]; the
+   segment's other records, index and footer stay intact. *)
+let damage_record ~root ~stage ~digest f =
+  match U.Store_disk.locate ~root ~stage ~digest with
+  | None -> Alcotest.failf "no record for %s/%s" stage digest
+  | Some (path, off, len) ->
+      let s = In_channel.with_open_bin path In_channel.input_all in
+      let damaged = f (String.sub s off len) in
+      Alcotest.(check int) "damage keeps the record's length" len
+        (String.length damaged);
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (String.sub s 0 off ^ damaged
+            ^ String.sub s (off + len) (String.length s - off - len)))
+
+let set_byte i c r =
+  let b = Bytes.of_string r in
+  Bytes.set b i c;
+  Bytes.to_string b
+
+(* A version-3 envelope, written out by hand from the documented
+   layout. *)
+let envelope ~builder ~payload =
+  let b = Buffer.create 64 in
+  Buffer.add_string b "JTSE";
+  B.w_byte b 3;
+  B.w_string b builder;
+  B.w_string b (digest_hex payload);
+  B.w_string b payload;
+  Buffer.contents b
+
+let segments root =
+  Array.to_list (Sys.readdir (Filename.concat root "seg"))
+  |> List.filter (fun n -> Filename.check_suffix n ".seg")
+  |> List.sort String.compare
+  |> List.map (Filename.concat (Filename.concat root "seg"))
+
+(* The [(stage, digest)] of every record a committed segment indexes,
+   decoded from the documented footer and index layout. *)
+let indexed_keys path =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  let footer = String.sub s (String.length s - 37) 37 in
+  let off = Int64.to_int (String.get_int64_le footer 5) in
+  let len = Int64.to_int (String.get_int64_le footer 13) in
+  B.r_list
+    (fun r ->
+      let stage = B.r_string r in
+      let digest = B.r_string r in
+      ignore (B.r_int r);
+      ignore (B.r_int r);
+      (stage, digest))
+    (B.reader (String.sub s off len))
+
 let test_disk_put_get () =
   with_root (fun root ->
       let digest = digest_hex "a" in
-      Alcotest.(check (option (pair string string)))
-        "absent entry" None
-        (U.Store_disk.get ~root ~stage:"compile" ~digest);
-      U.Store_disk.put ~root ~stage:"compile" ~digest ~builder:"sor"
-        ~payload:"PAYLOAD\x00\xff bytes" ();
-      Alcotest.(check (option (pair string string)))
-        "round trip"
+      let b = disk root in
+      Alcotest.(check entry) "absent entry" None (bget b ~stage:"compile" ~digest);
+      bput b ~stage:"compile" ~digest ~builder:"sor" ~payload:"PAYLOAD\x00\xff bytes";
+      Alcotest.(check entry) "served by its own backend before the flush"
         (Some ("sor", "PAYLOAD\x00\xff bytes"))
-        (U.Store_disk.get ~root ~stage:"compile" ~digest))
+        (bget b ~stage:"compile" ~digest);
+      Alcotest.(check entry) "invisible to others before the flush" None
+        (fresh_get root ~stage:"compile" ~digest);
+      bflush b;
+      Alcotest.(check entry) "round trip through a committed segment"
+        (Some ("sor", "PAYLOAD\x00\xff bytes"))
+        (fresh_get root ~stage:"compile" ~digest);
+      Alcotest.(check entry) "and through the writer after its flush"
+        (Some ("sor", "PAYLOAD\x00\xff bytes"))
+        (bget b ~stage:"compile" ~digest);
+      Alcotest.(check int) "one committed segment" 1 (List.length (segments root));
+      Alcotest.(check int) "no temp segment left" 0 (U.Store_disk.temp_segments ~root))
 
 let test_disk_first_put_wins () =
   with_root (fun root ->
       let digest = digest_hex "b" in
-      U.Store_disk.put ~root ~stage:"s" ~digest ~builder:"first" ~payload:"one" ();
-      U.Store_disk.put ~root ~stage:"s" ~digest ~builder:"second"
-        ~payload:"two" ();
-      Alcotest.(check (option (pair string string)))
-        "first write wins"
-        (Some ("first", "one"))
-        (U.Store_disk.get ~root ~stage:"s" ~digest))
+      let b = disk root in
+      bput b ~stage:"s" ~digest ~builder:"first" ~payload:"one";
+      bput b ~stage:"s" ~digest ~builder:"second" ~payload:"two";
+      bflush b;
+      Alcotest.(check entry) "first write wins" (Some ("first", "one"))
+        (fresh_get root ~stage:"s" ~digest);
+      (* A later backend that sees the valid record writes nothing. *)
+      let later = disk root in
+      bput later ~stage:"s" ~digest ~builder:"third" ~payload:"three";
+      bflush later;
+      Alcotest.(check int) "no second segment" 1 (List.length (segments root)))
+
+(* Two segments hold the same key: the first record that validates is
+   served, so damage to the first one heals through the second. *)
+let test_disk_first_valid_record_across_segments () =
+  with_root (fun root ->
+      let digest = digest_hex "dup" in
+      let a = disk root and b = disk root in
+      bput a ~stage:"s" ~digest ~builder:"a" ~payload:"one";
+      bput b ~stage:"s" ~digest ~builder:"b" ~payload:"two";
+      bflush a;
+      bflush b;
+      Alcotest.(check int) "two segments" 2 (List.length (segments root));
+      Alcotest.(check entry) "the first committed record wins" (Some ("a", "one"))
+        (fresh_get root ~stage:"s" ~digest);
+      damage_record ~root ~stage:"s" ~digest (set_byte 0 'X');
+      Alcotest.(check entry) "a defective first record is skipped"
+        (Some ("b", "two"))
+        (fresh_get root ~stage:"s" ~digest))
 
 let test_disk_defects_read_as_misses () =
   with_root (fun root ->
       let stage = "s" in
-      let write_entry name payload =
-        let digest = digest_hex name in
-        U.Store_disk.put ~root ~stage ~digest ~builder:"app" ~payload ();
-        (digest, U.Store_disk.entry_path ~root ~stage ~digest)
+      let b = disk root in
+      let cases =
+        [
+          (* The second half of the record lost. *)
+          ( "truncated record",
+            "some payload",
+            fun r ->
+              let h = String.length r / 2 in
+              String.sub r 0 h ^ String.make (String.length r - h) '\000' );
+          ("empty record", "x", fun r -> String.make (String.length r) '\000');
+          ("bad magic", "payload", set_byte 0 'X');
+          ("bad version", "payload", set_byte 4 '\xf7');
+          (* The envelope of version 2, the per-entry file format. *)
+          ("old-version record", "payload", set_byte 4 '\002');
+          ( "flipped payload byte",
+            "payload-payload-payload",
+            fun r ->
+              let i = String.length r - 3 in
+              set_byte i (Char.chr (Char.code r.[i] lxor 0x41)) r );
+          (* A valid envelope one byte short of the record. *)
+          ( "trailing bytes",
+            "payload",
+            fun _ -> envelope ~builder:"app" ~payload:"payloa" ^ "!" );
+        ]
       in
-      let mutate path f =
-        let s = In_channel.with_open_bin path In_channel.input_all in
-        let b = Bytes.of_string s in
-        f b;
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_bytes oc b)
-      in
-      let check_miss what digest =
-        Alcotest.(check (option (pair string string)))
-          (what ^ " reads as a miss") None
-          (U.Store_disk.get ~root ~stage ~digest)
-      in
-      (* Truncation: a crash mid-write would leave a short file only if
-         rename were not atomic; readers must still survive one. *)
-      let d, path = write_entry "trunc" "some payload" in
-      let len = (Unix.stat path).Unix.st_size in
-      Unix.truncate path (len / 2);
-      check_miss "truncated entry" d;
-      (* Empty file. *)
-      let d, path = write_entry "empty" "x" in
-      Unix.truncate path 0;
-      check_miss "empty entry" d;
-      (* Bad magic. *)
-      let d, path = write_entry "magic" "payload" in
-      mutate path (fun b -> Bytes.set b 0 'X');
-      check_miss "bad magic" d;
-      (* Unknown format version. *)
-      let d, path = write_entry "version" "payload" in
-      mutate path (fun b -> Bytes.set b 4 '\xf7');
-      check_miss "bad version" d;
-      (* A flipped payload byte fails the checksum. *)
-      let d, path = write_entry "flip" "payload-payload-payload" in
-      mutate path (fun b ->
-          let i = Bytes.length b - 3 in
-          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x41)));
-      check_miss "flipped payload byte" d;
-      (* Trailing garbage after the envelope. *)
-      let d, path = write_entry "trail" "payload" in
-      let s = In_channel.with_open_bin path In_channel.input_all in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (s ^ "garbage"));
-      check_miss "trailing bytes" d;
-      (* And an intact neighbour is still served. *)
-      let d, _ = write_entry "intact" "good" in
-      Alcotest.(check (option (pair string string)))
-        "intact entry unaffected"
+      List.iter
+        (fun (name, payload, _) ->
+          bput b ~stage ~digest:(digest_hex name) ~builder:"app" ~payload)
+        cases;
+      bput b ~stage ~digest:(digest_hex "intact") ~builder:"app" ~payload:"good";
+      bflush b;
+      Alcotest.(check int) "one segment holds every record" 1
+        (List.length (segments root));
+      List.iter
+        (fun (name, _, f) -> damage_record ~root ~stage ~digest:(digest_hex name) f)
+        cases;
+      let reader = disk root in
+      List.iter
+        (fun (name, _, _) ->
+          Alcotest.(check entry) (name ^ " reads as a miss") None
+            (bget reader ~stage ~digest:(digest_hex name)))
+        cases;
+      Alcotest.(check entry) "the intact neighbour is still served"
         (Some ("app", "good"))
-        (U.Store_disk.get ~root ~stage ~digest:d))
+        (bget reader ~stage ~digest:(digest_hex "intact")))
+
+(* A torn footer or index loses that segment only. *)
+let test_disk_torn_footer_or_index () =
+  with_root (fun root ->
+      let put_flushed name =
+        let b = disk root in
+        bput b ~stage:"s" ~digest:(digest_hex name) ~builder:"app" ~payload:name;
+        bflush b
+      in
+      put_flushed "a";
+      put_flushed "b";
+      put_flushed "c";
+      let flip path at =
+        let s = In_channel.with_open_bin path In_channel.input_all in
+        let i = at (String.length s) in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc
+              (set_byte i (Char.chr (Char.code s.[i] lxor 0x01)) s))
+      in
+      (match segments root with
+      | [ sa; sb; _ ] ->
+          (* the last byte of the footer's index digest *)
+          flip sa (fun n -> n - 1);
+          (* the last byte of the index, just before the footer *)
+          flip sb (fun n -> n - 38)
+      | l -> Alcotest.failf "expected 3 segments, got %d" (List.length l));
+      let r = disk root in
+      let get name = bget r ~stage:"s" ~digest:(digest_hex name) in
+      Alcotest.(check entry) "a torn footer misses" None (get "a");
+      Alcotest.(check entry) "a torn index misses" None (get "b");
+      Alcotest.(check entry) "other segments are served" (Some ("app", "c")) (get "c");
+      (* A cut-off segment (no footer at all) misses too. *)
+      let sc = List.nth (segments root) 2 in
+      Unix.truncate sc ((Unix.stat sc).Unix.st_size - 10);
+      Alcotest.(check entry) "a truncated segment misses" None
+        (fresh_get root ~stage:"s" ~digest:(digest_hex "c")))
+
+let dead_pid =
+  (* Above Linux's PID_MAX_LIMIT (2^22): no process can have it. *)
+  (1 lsl 22) + 7
 
 let test_disk_orphan_sweep () =
   with_root (fun root ->
       let digest = digest_hex "kept" in
-      U.Store_disk.put ~root ~stage:"s" ~digest ~builder:"app" ~payload:"v" ();
-      let dir = Filename.concat root "s" in
-      let orphan name = Out_channel.with_open_bin
-          (Filename.concat dir name)
-          (fun oc -> Out_channel.output_string oc "partial")
+      let b = disk root in
+      bput b ~stage:"s" ~digest ~builder:"app" ~payload:"v";
+      bflush b;
+      let dir = Filename.concat root "seg" in
+      let orphan name =
+        Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+            Out_channel.output_string oc "partial")
       in
-      orphan (digest ^ ".tmp.12345.0");
-      orphan (digest ^ ".tmp.12345.1");
-      (* Opening the backend sweeps the orphans and keeps real entries. *)
-      let b = U.Store_disk.backend ~root () in
-      Alcotest.(check int) "no tmp files survive" 0
-        (Array.length
-           (Array.of_list
-              (List.filter
-                 (fun n ->
-                   String.length n > String.length digest)
-                 (Array.to_list (Sys.readdir dir)))));
-      Alcotest.(check (option (pair string string)))
-        "the committed entry survives the sweep"
+      orphan (Printf.sprintf "%d-0.tmp" dead_pid);
+      orphan (Printf.sprintf "%d-1.tmp" dead_pid);
+      (* A live writer in this process: its unflushed segment reads as
+         a miss and survives the sweep. *)
+      let writer = disk root in
+      let pending = digest_hex "pending" in
+      bput writer ~stage:"s" ~digest:pending ~builder:"app" ~payload:"p";
+      let b = disk root in
+      Alcotest.(check int) "the dead writers' segments are swept, the live one kept" 1
+        (U.Store_disk.temp_segments ~root);
+      Alcotest.(check entry) "an unflushed segment reads as a miss" None
+        (bget b ~stage:"s" ~digest:pending);
+      Alcotest.(check entry) "the committed entry survives the sweep"
         (Some ("app", "v"))
-        (b.U.Artifact.backend_get ~stage:"s" ~digest);
-      Alcotest.(check int) "nothing left for a second sweep" 0
-        (U.Store_disk.sweep_orphans ~root))
+        (bget b ~stage:"s" ~digest);
+      Alcotest.(check int) "a live writer is never swept" 0
+        (U.Store_disk.sweep_orphans ~root);
+      bflush writer;
+      Alcotest.(check entry) "the live writer's flush commits" (Some ("app", "p"))
+        (bget b ~stage:"s" ~digest:pending);
+      Alcotest.(check int) "nothing left to sweep" 0 (U.Store_disk.temp_segments ~root))
 
 let test_disk_concurrent_first_put_wins () =
   with_root (fun root ->
       let digest = digest_hex "race" in
-      (* Two writers race the same (stage, digest) with different
-         payloads, many rounds: exactly one valid envelope must land and
-         no temp residue may survive. *)
-      let barrier = Atomic.make 0 in
-      let writer payload () =
-        Atomic.incr barrier;
-        while Atomic.get barrier < 2 do Domain.cpu_relax () done;
-        for _ = 1 to 50 do
-          U.Store_disk.put ~root ~stage:"s" ~digest ~builder:payload
-            ~payload ()
-        done
+      (* Two writers race the same keys with different payloads, first
+         through one shared backend and then through one backend each:
+         every reader must agree on one complete write, and no temp
+         residue may survive.  Each writer puts every key three times
+         in step with the other, so each key is a fresh race. *)
+      let keys = digest :: List.init 199 (fun i -> digest_hex (Printf.sprintf "race-%d" i)) in
+      let race backends =
+        let barrier = Atomic.make 0 in
+        let writer (b, payload) () =
+          Atomic.incr barrier;
+          while Atomic.get barrier < 2 do Domain.cpu_relax () done;
+          List.iteri
+            (fun i digest ->
+              (* Both writers start each key together. *)
+              Atomic.incr barrier;
+              while Atomic.get barrier < 2 * (i + 2) do Domain.cpu_relax () done;
+              for _ = 1 to 3 do
+                bput b ~stage:"s" ~digest ~builder:payload ~payload
+              done)
+            keys;
+          bflush b
+        in
+        let ds = List.map (fun w -> Domain.spawn (writer w)) backends in
+        List.iter Domain.join ds
       in
-      let a = Domain.spawn (writer "one") in
-      let b = Domain.spawn (writer "two") in
-      Domain.join a;
-      Domain.join b;
-      (match U.Store_disk.get ~root ~stage:"s" ~digest with
-      | Some (b, p) ->
-          Alcotest.(check bool) "a complete write won" true
-            ((b, p) = ("one", "one") || (b, p) = ("two", "two"))
-      | None -> Alcotest.fail "no valid envelope after the race");
-      let residue =
-        Array.to_list (Sys.readdir (Filename.concat root "s"))
-        |> List.filter (fun n -> n <> digest)
+      let shared = disk root in
+      race [ (shared, "one"); (shared, "two") ];
+      Alcotest.(check int) "one record per key through a shared backend"
+        (List.length keys)
+        (List.length (List.concat_map indexed_keys (segments root)));
+      let winner = fresh_get root ~stage:"s" ~digest in
+      Alcotest.(check bool) "a complete write won" true
+        (winner = Some ("one", "one") || winner = Some ("two", "two"));
+      let root2 = root ^ "-2" in
+      Fun.protect ~finally:(fun () -> rm_rf root2) (fun () ->
+          race [ (disk root2, "one"); (disk root2, "two") ];
+          let readers = List.init 3 (fun _ -> fresh_get root2 ~stage:"s" ~digest) in
+          Alcotest.(check bool) "every reader agrees on a complete write" true
+            (List.for_all (fun r -> r = List.hd readers) readers
+            && (List.hd readers = Some ("one", "one")
+               || List.hd readers = Some ("two", "two")));
+          Alcotest.(check int) "no temp residue" 0
+            (U.Store_disk.temp_segments ~root:root2)))
+
+(* A segment committed by one backend becomes visible at another's next
+   miss. *)
+let test_disk_cross_backend_visibility () =
+  with_root (fun root ->
+      let a = disk root and b = disk root in
+      let visible name =
+        let digest = digest_hex name in
+        Alcotest.(check entry) (name ^ ": a miss before the flush") None
+          (bget b ~stage:"s" ~digest);
+        bput a ~stage:"s" ~digest ~builder:"a" ~payload:name;
+        bflush a;
+        Alcotest.(check entry) (name ^ ": visible at the next miss")
+          (Some ("a", name)) (bget b ~stage:"s" ~digest)
       in
-      Alcotest.(check (list string)) "no temp residue" [] residue)
+      visible "first";
+      visible "second")
+
+(* Every flush adds a segment; past eight, a flush merges the smallest
+   into one.  The merge keeps each key's first valid record and drops
+   defective ones, and a backend that indexed a merged-away segment
+   finds its keys again at the next miss. *)
+let test_disk_compaction () =
+  with_root (fun root ->
+      (* Key [i]'s payload grows with [i], so the merges pick the lowest
+         keys first; "big" is the largest segment. *)
+      let payload name =
+        if name = "big" then String.make 4096 'b' else String.make (10 * int_of_string name) 'x'
+      in
+      let put_flushed name =
+        let b = disk root in
+        bput b ~stage:"s" ~digest:(digest_hex name) ~builder:"app" ~payload:(payload name);
+        bflush b
+      in
+      let check_all what b names =
+        List.iter
+          (fun name ->
+            Alcotest.(check entry) (what ^ ": key " ^ name)
+              (Some ("app", payload name))
+              (bget b ~stage:"s" ~digest:(digest_hex name)))
+          names
+      in
+      let keys n = "big" :: List.init n (fun i -> string_of_int (i + 1)) in
+      put_flushed "big";
+      let early = disk root in
+      for i = 1 to 7 do
+        put_flushed (string_of_int i)
+      done;
+      Alcotest.(check int) "eight segments, no merge yet" 8 (List.length (segments root));
+      damage_record ~root ~stage:"s" ~digest:(digest_hex "1") (set_byte 0 'X');
+      (* The recompute after the miss appends a valid record for key 1;
+         its segment and key 1's damaged one are among the five
+         smallest, which this ninth flush merges. *)
+      put_flushed "1";
+      let after = segments root in
+      Alcotest.(check int) "the ninth flush merges down to five segments" 5
+        (List.length after);
+      Alcotest.(check int) "no temp segment left" 0 (U.Store_disk.temp_segments ~root);
+      Alcotest.(check bool) "the largest segment is kept" true
+        (List.exists (fun p -> indexed_keys p = [ ("s", digest_hex "big") ]) after);
+      Alcotest.(check int) "each key once: the defective record dropped" 8
+        (List.length (List.concat_map indexed_keys after));
+      check_all "a fresh backend" (disk root) (keys 7);
+      check_all "a backend opened before the merge" early (keys 7);
+      (* Twenty more flushes: the count never passes the bound. *)
+      for i = 8 to 27 do
+        put_flushed (string_of_int i);
+        Alcotest.(check bool) "at most nine segments" true (List.length (segments root) <= 9)
+      done;
+      check_all "after twenty more flushes" early (keys 27))
 
 let test_disk_torn_write_reads_as_miss () =
   with_root (fun root ->
-      let digest = digest_hex "torn" in
-      let always_torn =
-        { U.Chaos.none with
-          U.Chaos.enabled = true;
-          seed = 1;
-          store_torn_rate = 1.0 }
+      let chaos =
+        { U.Chaos.none with U.Chaos.enabled = true; seed = 1; store_torn_rate = 0.5 }
       in
-      U.Store_disk.put ~chaos:always_torn ~root ~stage:"s" ~digest
-        ~builder:"app" ~payload:"value" ();
-      Alcotest.(check bool) "the torn entry exists on disk" true
-        (Sys.file_exists (U.Store_disk.entry_path ~root ~stage:"s" ~digest));
-      Alcotest.(check (option (pair string string)))
-        "a torn envelope reads as a miss" None
-        (U.Store_disk.get ~root ~stage:"s" ~digest);
-      (* A torn entry is not a valid one, so first-put-wins does not
-         protect it: the next clean write heals the slot. *)
-      U.Store_disk.put ~root ~stage:"s" ~digest ~builder:"app"
-        ~payload:"value" ();
-      Alcotest.(check (option (pair string string)))
-        "a clean put replaces the torn entry"
+      let torn d = U.Chaos.store_torn chaos ~site:("s/" ^ d) in
+      let digests = List.init 64 (fun i -> digest_hex (string_of_int i)) in
+      let clean = List.filter (fun d -> not (torn d)) digests in
+      let victim =
+        match List.find_opt torn digests with
+        | Some d -> d
+        | None -> Alcotest.fail "no torn site among 64"
+      in
+      let before, after =
+        match clean with
+        | x :: y :: _ -> (x, y)
+        | _ -> Alcotest.fail "fewer than two clean sites among 64"
+      in
+      let b = disk ~chaos root in
+      List.iter
+        (fun d -> bput b ~stage:"s" ~digest:d ~builder:"app" ~payload:("value-" ^ d))
+        [ before; victim; after ];
+      bflush b;
+      Alcotest.(check bool) "the torn record is indexed" true
+        (U.Store_disk.locate ~root ~stage:"s" ~digest:victim <> None);
+      Alcotest.(check entry) "a torn record reads as a miss" None
+        (fresh_get root ~stage:"s" ~digest:victim);
+      List.iter
+        (fun d ->
+          Alcotest.(check entry) "its neighbours are served"
+            (Some ("app", "value-" ^ d))
+            (fresh_get root ~stage:"s" ~digest:d))
+        [ before; after ];
+      (* A torn record is not a valid one, so first-put-wins does not
+         protect it: the next clean write heals the key. *)
+      let healer = disk root in
+      bput healer ~stage:"s" ~digest:victim ~builder:"app" ~payload:"value";
+      bflush healer;
+      Alcotest.(check entry) "a clean put heals the torn key"
         (Some ("app", "value"))
-        (U.Store_disk.get ~root ~stage:"s" ~digest))
+        (fresh_get root ~stage:"s" ~digest:victim))
 
-(* A defective entry must not occupy its slot forever: a probe misses,
-   the stage recomputes, the put rewrites the file, and the next
-   process hits.  [damage] turns the valid entry at [path] into the
-   defect under test. *)
+(* A defective record must not shadow its key forever: a probe misses,
+   the stage recomputes, the put appends a valid record, and the next
+   process hits.  [damage] turns the valid record into the defect under
+   test. *)
 let check_defect_heals what damage =
   with_root (fun root ->
       let key = U.Artifact.key ~codec:B.string "heal-stage" in
       let digest = U.Digest.of_string what in
-      let path =
-        U.Store_disk.entry_path ~root ~stage:"heal-stage"
-          ~digest:(U.Digest.to_hex digest)
-      in
-      let fresh () =
-        U.Artifact.create ~backend:(U.Store_disk.backend ~root ()) ()
-      in
-      U.Artifact.put (fresh ()) key ~app:"sor" ~digest "artifact";
-      damage path;
+      let hex = U.Digest.to_hex digest in
+      let fresh () = U.Artifact.create ~backend:(disk root) () in
+      let first = fresh () in
+      U.Artifact.put first key ~app:"sor" ~digest "artifact";
+      U.Artifact.flush first;
+      damage_record ~root ~stage:"heal-stage" ~digest:hex damage;
       let store = fresh () in
-      Alcotest.(check bool) (what ^ ": the damaged entry misses") true
+      Alcotest.(check bool) (what ^ ": the damaged record misses") true
         (U.Artifact.find store key ~app:"sor" ~digest = None);
       (* The recompute's put. *)
       U.Artifact.put store key ~app:"sor" ~digest "artifact";
-      Alcotest.(check (option (pair string string)))
-        (what ^ ": the put rewrote the entry")
+      U.Artifact.flush store;
+      Alcotest.(check entry)
+        (what ^ ": the put appended a valid record")
         (Some ("sor", B.encode B.string "artifact"))
-        (U.Store_disk.get ~root ~stage:"heal-stage"
-           ~digest:(U.Digest.to_hex digest));
+        (fresh_get root ~stage:"heal-stage" ~digest:hex);
       match U.Artifact.find (fresh ()) key ~app:"sor" ~digest with
       | Some ("artifact", U.Artifact.Local) -> ()
       | _ -> Alcotest.failf "%s: the next run must hit" what)
 
 let test_disk_garbage_entry_heals () =
-  check_defect_heals "garbage" (fun path ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc "garbage"))
+  check_defect_heals "garbage" (fun r -> String.make (String.length r) 'g')
 
-(* An entry written by the previous format version: the envelope layout
+(* A record written by the previous format version: the envelope layout
    is unchanged, only the version byte after the magic differs. *)
 let test_disk_old_version_entry_heals () =
-  check_defect_heals "version 1" (fun path ->
-      let b =
-        Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
-      in
-      Bytes.set b 4 '\001';
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b))
+  check_defect_heals "version 2" (set_byte 4 '\002')
 
 let test_disk_entries () =
   with_root (fun root ->
-      U.Store_disk.put ~root ~stage:"a" ~digest:(digest_hex "1")
-        ~builder:"x" ~payload:"12345" ();
-      U.Store_disk.put ~root ~stage:"a" ~digest:(digest_hex "2")
-        ~builder:"x" ~payload:"12345" ();
-      U.Store_disk.put ~root ~stage:"b" ~digest:(digest_hex "3")
-        ~builder:"x" ~payload:"1" ();
-      let entries = (U.Store_disk.backend ~root ()).U.Artifact.backend_entries () in
-      Alcotest.(check int) "two stages" 2 (List.length entries);
-      let a_stage, a_count, a_bytes = List.hd entries in
-      Alcotest.(check string) "sorted by stage" "a" a_stage;
-      Alcotest.(check int) "entry count" 2 a_count;
-      Alcotest.(check bool) "bytes include the envelope" true
-        (a_bytes > 2 * 5))
+      let b = disk root in
+      bput b ~stage:"a" ~digest:(digest_hex "1") ~builder:"x" ~payload:"12345";
+      bput b ~stage:"a" ~digest:(digest_hex "2") ~builder:"x" ~payload:"12345";
+      bput b ~stage:"b" ~digest:(digest_hex "3") ~builder:"x" ~payload:"1";
+      bflush b;
+      let entries = (disk root).U.Artifact.backend_entries () in
+      Alcotest.(check (list (triple string int int)))
+        "entries and envelope bytes per stage, sorted by stage"
+        [
+          ("a", 2, 2 * String.length (envelope ~builder:"x" ~payload:"12345"));
+          ("b", 1, String.length (envelope ~builder:"x" ~payload:"1"));
+        ]
+        entries)
 
 (* ------------------------------------------------------------------ *)
 (* Artifact front-end over the disk backend                            *)
@@ -781,6 +1009,7 @@ let test_artifact_warm_restart () =
       let digest = U.Digest.of_string "input" in
       let store = U.Artifact.create ~backend:(U.Store_disk.backend ~root ()) () in
       U.Artifact.put store key ~app:"sor" ~digest "the artifact";
+      U.Artifact.flush store;
       (* A NEW front-end over the same root: a simulated restart, so the
          hit must cross serialization and still attribute correctly. *)
       let fresh () =
@@ -824,8 +1053,10 @@ let test_artifact_undecodable_payload_is_a_miss () =
       let digest = U.Digest.of_string "input" in
       (* A valid envelope whose payload the codec rejects: must degrade
          to a miss at the front-end, not raise. *)
-      U.Store_disk.put ~root ~stage:"typed-stage"
-        ~digest:(U.Digest.to_hex digest) ~builder:"a" ~payload:"not binio" ();
+      let b = disk root in
+      bput b ~stage:"typed-stage" ~digest:(U.Digest.to_hex digest) ~builder:"a"
+        ~payload:"not binio";
+      bflush b;
       let store = U.Artifact.create ~backend:(U.Store_disk.backend ~root ()) () in
       Alcotest.(check bool) "undecodable payload misses" true
         (U.Artifact.find store key ~app:"a" ~digest = None);
@@ -892,6 +1123,14 @@ let () =
             test_disk_garbage_entry_heals;
           Alcotest.test_case "old-version entry is rewritten" `Quick
             test_disk_old_version_entry_heals;
+          Alcotest.test_case "first valid record across segments" `Quick
+            test_disk_first_valid_record_across_segments;
+          Alcotest.test_case "torn footer or index misses one segment" `Quick
+            test_disk_torn_footer_or_index;
+          Alcotest.test_case "compaction bounds the segment count" `Quick
+            test_disk_compaction;
+          Alcotest.test_case "flushed segment visible at the next miss" `Quick
+            test_disk_cross_backend_visibility;
         ] );
       ( "front-end",
         [

@@ -894,6 +894,7 @@ let test_chaos_wrap_backend_planes () =
         (fun ~stage ~digest ~builder ~payload ->
           Hashtbl.replace tbl (stage ^ digest) (builder, payload));
       backend_entries = (fun () -> []);
+      backend_flush = ignore;
     }
   in
   let all_errors =

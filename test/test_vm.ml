@@ -518,6 +518,18 @@ let test_diff_fault_parity () =
   check_fault_parity "unknown callee" ~n:1 (unknown_callee_module ());
   check_fault_parity "unconfigured ci" ~n:6 (ci_module ())
 
+(* Globals are laid out before either engine starts: a module whose
+   globals exceed the memory cap is a named fault, not a host
+   exception, with one message on both engines. *)
+let test_diff_globals_past_cap () =
+  let m = compile "int a[200000000]; int main(int n) { a[5] = 1; return a[5]; }" in
+  check_fault_parity "globals past the cap" ~n:0 m;
+  Alcotest.(check (option string)) "names the cause"
+    (Some
+       (Printf.sprintf "globals: out of memory (limit %d cells)"
+          (Vm.Memory.create ()).Vm.Memory.limit))
+    (fault_msg ~engine:Vm.Machine.Threaded ~n:0 m)
+
 (* ------------------------------------------------------------------ *)
 (* Tuning-knob differential: all (link, fuse, ci_native) combinations  *)
 (* ------------------------------------------------------------------ *)
@@ -1634,6 +1646,8 @@ let () =
           Alcotest.test_case "switch first-match" `Quick test_diff_switch;
           Alcotest.test_case "ci call" `Quick test_diff_ci_call;
           Alcotest.test_case "fault parity" `Quick test_diff_fault_parity;
+          Alcotest.test_case "globals past the memory cap" `Quick
+            test_diff_globals_past_cap;
           Alcotest.test_case "registry workloads" `Slow
             test_diff_registry_workloads;
           QCheck_alcotest.to_alcotest qcheck_diff_generated;
